@@ -9,6 +9,7 @@ import (
 	"dpiservice/internal/netsim"
 	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
+	"dpiservice/internal/pipeline"
 	"dpiservice/internal/wire"
 )
 
@@ -93,19 +94,12 @@ func Wire(o Options) ([]WireRow, error) {
 	return rows, nil
 }
 
-// newWireEchoServer wires a scan engine behind a wire server: every
-// delivered packet is inspected and answered with its encoded report.
+// newWireEchoServer wires a scan engine behind a wire server with the
+// instance's own packet handler: every delivered packet is inspected
+// and answered with its encoded report.
 func newWireEchoServer(tr wire.Transport, key uint64, eng *core.Engine) *wire.Server {
 	srv := wire.NewServer(tr, key, wire.Config{}, nil)
-	var enc []byte
-	srv.OnData(func(s *wire.Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte) {
-		rep, err := eng.Inspect(tag, tuple, payload)
-		enc = enc[:0]
-		if err == nil && rep != nil {
-			enc = rep.AppendEncoded(enc)
-		}
-		s.SendResult(seq, enc)
-	})
+	(&pipeline.Scanner{Engine: func() *core.Engine { return eng }}).Attach(srv)
 	srv.Start()
 	return srv
 }

@@ -48,6 +48,11 @@ const (
 // worker claims a small group of items and advances the stateless ones'
 // DFA scans in lockstep, so one lane's cache miss overlaps the other
 // lanes' work instead of stalling the worker (Config.BatchInterleave).
+//
+// With workers == 1 the call stays on the caller's goroutine and scans
+// the groups in slice order, so a flow's packets keep stream order; that
+// is the wire data plane's entry (internal/pipeline). Every group feeds
+// core.scan_ns (one observation per packet) and core.batch_group_size.
 func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 	g := 1
 	if e.acLanes != nil {
@@ -66,7 +71,7 @@ func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 			if hi > len(items) {
 				hi = len(items)
 			}
-			e.inspectGroup(items[lo:hi])
+			e.inspectGroupTimed(items[lo:hi])
 		}
 		return
 	}
@@ -86,7 +91,7 @@ func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 				if hi > len(items) {
 					hi = len(items)
 				}
-				e.inspectGroup(items[lo:hi])
+				e.inspectGroupTimed(items[lo:hi])
 			}
 		}()
 	}

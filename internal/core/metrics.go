@@ -41,10 +41,15 @@ type engineMetrics struct {
 
 	payloadBytes *obs.Histogram
 	scanNs       *obs.Histogram
+	groupSize    *obs.Histogram
 
 	// shardScans is indexed parallel to Engine.shards.
 	shardScans []*obs.Counter
 }
+
+// groupSizeBounds gives core.batch_group_size one bucket per possible
+// lane-group size, 1..maxBatchLanes.
+var groupSizeBounds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 
 func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 	m := &engineMetrics{
@@ -68,6 +73,7 @@ func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 		flowsActive:   reg.Gauge("core.flows_active"),
 		payloadBytes:  reg.Histogram("core.payload_bytes", obs.SizeBounds),
 		scanNs:        reg.Histogram("core.scan_ns", obs.LatencyBounds),
+		groupSize:     reg.Histogram("core.batch_group_size", groupSizeBounds),
 	}
 	m.shardScans = make([]*obs.Counter, shards)
 	for i := range m.shardScans {
@@ -113,6 +119,19 @@ func (e *Engine) InspectTimed(tag uint16, tuple packet.FiveTuple, payload []byte
 	rep, err := e.Inspect(tag, tuple, payload)
 	e.met.scanNs.Observe(uint64(time.Since(start)))
 	return rep, err
+}
+
+// inspectGroupTimed is inspectGroup plus the batch path's telemetry:
+// the group's size into core.batch_group_size (are batches filling the
+// lanes?) and one core.scan_ns observation per packet, each charged the
+// group's mean. As with InspectTimed, the clock reads live out here so
+// the //dpi:hotpath-checked inspectGroup stays clock-free.
+func (e *Engine) inspectGroupTimed(items []BatchItem) {
+	start := time.Now()
+	e.inspectGroup(items)
+	n := uint64(len(items))
+	e.met.scanNs.ObserveN(uint64(time.Since(start))/n, n)
+	e.met.groupSize.Observe(n)
 }
 
 // InspectStaged is Inspect with per-stage timing: it reports how long

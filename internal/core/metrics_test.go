@@ -155,3 +155,25 @@ func BenchmarkInspectAllocs(b *testing.B) {
 		e.Inspect(1, tuple, payload)
 	}
 }
+
+// TestBatchTelemetry checks that the batch entry keeps core.scan_ns at
+// one observation per packet and reports its lane-group sizes.
+func TestBatchTelemetry(t *testing.T) {
+	e, err := NewEngine(twoBoxConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]BatchItem, 10)
+	for i := range items {
+		items[i] = BatchItem{Tag: 2, Tuple: parallelFlowTuple(i), Payload: []byte("an evil malware-body payload")}
+	}
+	e.InspectBatch(items, 1)
+	snap := e.Metrics().Snapshot()
+	if h, _ := snap.Histogram("core.scan_ns"); h.Count != 10 {
+		t.Errorf("core.scan_ns has %d observations for 10 packets", h.Count)
+	}
+	// Ten packets at the default four lanes: groups of 4, 4 and 2.
+	if h, _ := snap.Histogram("core.batch_group_size"); h.Count != 3 || h.Sum != 10 {
+		t.Errorf("core.batch_group_size: %d groups holding %d packets, want 3 holding 10", h.Count, h.Sum)
+	}
+}

@@ -61,6 +61,15 @@ func TestHistogramBuckets(t *testing.T) {
 	if r.Histogram("sz", nil) != h {
 		t.Fatal("Histogram did not return the registered instance")
 	}
+
+	// ObserveN(v, n) is n Observe(v) calls.
+	h.ObserveN(50, 3)
+	if h.Count() != 9 || h.Sum() != 1+10+11+100+101+5000+150 {
+		t.Fatalf("after ObserveN(50, 3): count = %d, sum = %d", h.Count(), h.Sum())
+	}
+	if hv, _ = r.Snapshot().Histogram("sz"); hv.Buckets[1].Count != 5 {
+		t.Fatalf("ObserveN(50, 3) put %d samples in the <=100 bucket, want 5", hv.Buckets[1].Count)
+	}
 }
 
 func TestSnapshotSortedAndSerialized(t *testing.T) {

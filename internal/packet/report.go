@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // This file implements the match-report wire format of Section 6.5: a
@@ -55,6 +54,11 @@ const (
 
 // ErrBadReport is returned when decoding a malformed report.
 var ErrBadReport = errors.New("packet: malformed match report")
+
+// errTooManySections is AppendEncoded's panic value: the section count
+// travels in one byte. A package-level value, so that raising it does
+// not allocate on the encode path.
+var errTooManySections = errors.New("packet: report sections exceed the wire limit of 255")
 
 // Entry is one (possibly ranged) pattern occurrence within a section.
 // Pos is the value of the scan counter at the match — the number of
@@ -122,8 +126,19 @@ func (r *Report) section(mbox uint8) *Section {
 			return &r.Sections[i]
 		}
 	}
-	r.Sections = append(r.Sections, Section{Mbox: mbox})
-	return &r.Sections[len(r.Sections)-1]
+	n := len(r.Sections)
+	if n == cap(r.Sections) {
+		r.Sections = append(r.Sections, Section{Mbox: mbox})
+		return &r.Sections[n]
+	}
+	// Reuse the slot Reset kept, and with it the Entries storage an
+	// earlier cycle grew: a reused report then adds matches without
+	// allocating.
+	r.Sections = r.Sections[:n+1]
+	sec := &r.Sections[n]
+	sec.Mbox = mbox
+	sec.Entries = sec.Entries[:0]
+	return sec
 }
 
 // Clone returns a deep copy of the report sharing no storage with r,
@@ -183,9 +198,11 @@ func (r *Report) EncodedLen() int {
 
 // AppendEncoded appends the wire encoding of r to dst and returns the
 // extended slice.
+//
+//dpi:hotpath
 func (r *Report) AppendEncoded(dst []byte) []byte {
 	if len(r.Sections) > 255 {
-		panic(fmt.Sprintf("packet: %d report sections exceed wire limit", len(r.Sections)))
+		panic(errTooManySections)
 	}
 	var hdr [reportHeaderLen]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = reportMagic0, reportMagic1, reportVersion, r.Flags

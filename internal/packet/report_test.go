@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -116,6 +117,32 @@ func TestReportEmpty(t *testing.T) {
 	var got Report
 	if _, err := DecodeReport(enc, &got); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A reused report keeps the section and entry storage its first cycle
+// grew: Reset plus the same AddMatch sequence must not allocate, and a
+// slot reused for a different middlebox must not leak old entries.
+func TestReportResetReusesStorage(t *testing.T) {
+	var r Report
+	fill := func() {
+		r.Reset()
+		for i := 0; i < 40; i++ {
+			r.AddMatch(uint8(1+i%3), uint16(i), uint32(7*i))
+		}
+	}
+	fill()
+	want := r.AppendEncoded(nil)
+	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
+		t.Errorf("Reset + AddMatch on a warmed report allocates %.1f times per cycle, want 0", allocs)
+	}
+	if got := r.AppendEncoded(nil); !bytes.Equal(got, want) {
+		t.Error("reused report encodes differently from the first cycle")
+	}
+	r.Reset()
+	r.AddMatch(9, 5, 1)
+	if len(r.Sections) != 1 || r.Sections[0].Mbox != 9 || len(r.Sections[0].Entries) != 1 {
+		t.Errorf("reused slot carries stale state: %+v", r.Sections)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dpiservice/internal/netsim"
+	"dpiservice/internal/obs"
 	"dpiservice/internal/packet"
 )
 
@@ -105,23 +106,29 @@ func runExchange(t *testing.T, c *Conn, n int, sink *resultSink, seqs map[int]ui
 	}
 }
 
-func newNetsimPair(t *testing.T) (*Conn, *Server, *resultSink, *netsim.Network) {
+// newNetsimLink joins a client and a server transport over a clean
+// netsim link.
+func newNetsimLink(t *testing.T) (ct, st *NetsimTransport, nw *netsim.Network) {
 	t.Helper()
-	nw := netsim.NewNetwork()
-	ct := NewNetsimTransport("client")
-	st := NewNetsimTransport("server")
-	if err := nw.AddNode(ct); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.AddNode(st); err != nil {
-		t.Fatal(err)
+	nw = netsim.NewNetwork()
+	ct, st = NewNetsimTransport("client"), NewNetsimTransport("server")
+	for _, n := range []*NetsimTransport{ct, st} {
+		if err := nw.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := nw.Connect(ct, st, netsim.LinkOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := echoServer(t, st, nil)
+	return ct, st, nw
+}
+
+func newNetsimPair(t *testing.T, met *Metrics) (*Conn, *Server, *resultSink, *netsim.Network) {
+	t.Helper()
+	ct, st, nw := newNetsimLink(t)
+	srv := echoServer(t, st, met)
 	sink := newResultSink()
-	c := NewConn(ct, IssueToken(testKey, 1), "tg-1", testCfg, nil)
+	c := NewConn(ct, IssueToken(testKey, 1), "tg-1", testCfg, met)
 	c.OnResult(sink.add)
 	t.Cleanup(func() {
 		c.Close()
@@ -132,7 +139,7 @@ func newNetsimPair(t *testing.T) (*Conn, *Server, *resultSink, *netsim.Network) 
 }
 
 func TestWireOverNetsim(t *testing.T) {
-	c, srv, sink, _ := newNetsimPair(t)
+	c, srv, sink, _ := newNetsimPair(t, nil)
 	if err := c.Start(5 * time.Second); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -144,7 +151,8 @@ func TestWireOverNetsim(t *testing.T) {
 }
 
 func TestWireOverNetsimChaos(t *testing.T) {
-	c, _, sink, nw := newNetsimPair(t)
+	reg := obs.NewRegistry()
+	c, _, sink, nw := newNetsimPair(t, NewMetrics(reg))
 	nw.SetChaosSeed(1234)
 	fault := netsim.Fault{DropProb: 0.05, DupProb: 0.05, ReorderProb: 0.1}
 	nw.SetLinkFault("client", "server", fault)
@@ -157,8 +165,11 @@ func TestWireOverNetsimChaos(t *testing.T) {
 	if cs.Dropped == 0 || cs.Reordered == 0 {
 		t.Fatalf("chaos never fired: %+v", cs)
 	}
-	if st := c.Stats(); st.Retransmits == 0 {
-		t.Fatalf("no retransmits despite %d drops: %+v", cs.Dropped, st)
+	// A drop on either direction costs its sender a retransmission. The
+	// server writes once per batch, so few datagrams flow and all of a
+	// run's drops can fall on one side: count both.
+	if n := reg.Counter("wire.retransmits").Value(); n == 0 {
+		t.Fatalf("no retransmits on either side despite %d drops: client %+v", cs.Dropped, c.Stats())
 	}
 }
 
@@ -310,5 +321,93 @@ func TestWireSessionRestartReplaces(t *testing.T) {
 	runExchange(t, c2, 10, sink2, make(map[int]uint32))
 	if n := srv.SessionCount(); n != 1 {
 		t.Fatalf("sessions = %d, want 1 (takeover, not a duplicate)", n)
+	}
+}
+
+// The server loop is batch-scoped: a handler replying inline to every
+// frame of one ReadBatch costs the session one TAck and one WriteBatch,
+// and the OnBatchEnd hook runs once, after the batch's last frame and
+// before anything is flushed.
+func TestServerAcksAndFlushesOncePerBatch(t *testing.T) {
+	ct, st, nw := newNetsimLink(t)
+
+	// Queue a hello and 40 data frames, four datagrams, before the server
+	// starts: NetsimTransport.ReadBatch drains its queue, so they arrive
+	// as one batch.
+	const frames = 40
+	token := IssueToken(testKey, 1)
+	dgs := [][]byte{AppendFrame(nil, Header{Type: THello, Token: token}, []byte("peer"))}
+	for seq := uint32(1); seq <= frames; seq++ {
+		if seq%10 == 1 {
+			dgs = append(dgs, nil)
+		}
+		last := &dgs[len(dgs)-1]
+		*last = AppendFrame(*last, Header{Type: TData, Token: token, Seq: seq, Ack: 1},
+			AppendData(nil, 3, testTuple, []byte(fmt.Sprintf("pkt-%02d", seq))))
+	}
+	for _, dg := range dgs {
+		st.Recv(st.PortTo("client"), dg)
+	}
+
+	// The peer never acks; a long timeout keeps retransmissions of the
+	// results out of the write count.
+	reg := obs.NewRegistry()
+	srv := NewServer(st, testKey, Config{RTOBase: time.Second}, NewMetrics(reg))
+	var handled, atHook []int // receive goroutine only; read after the replies arrive
+	srv.OnData(func(s *Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte) {
+		handled = append(handled, int(seq))
+		if err := s.SendResult(seq, payload); err != nil {
+			t.Errorf("SendResult: %v", err)
+		}
+	})
+	srv.OnBatchEnd(func() { atHook = append(atHook, len(handled)) })
+	srv.Start()
+	t.Cleanup(func() {
+		srv.Close()
+		nw.Stop()
+	})
+
+	// Everything the batch produced comes back in one write: the hello
+	// ack, 40 results and the TAck.
+	in := make([]Datagram, DefaultBatch)
+	for i := range in {
+		in[i].Buf = make([]byte, 0, MaxDatagram)
+	}
+	results, acks := 0, 0
+	for results < frames || acks == 0 { // the TAck is staged last
+		n, err := ct.ReadBatch(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dg := range in[:n] {
+			for buf := dg.Buf; len(buf) > 0; {
+				h, _, rest, err := NextFrame(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch h.Type {
+				case TResult:
+					results++
+				case TAck:
+					acks++
+					if h.Ack != frames+1 {
+						t.Errorf("TAck acks up to %d, want %d", h.Ack, frames+1)
+					}
+				}
+				buf = rest
+			}
+		}
+	}
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+	// Every reply is in, so at most the last write is still to be counted.
+	waitFor(t, 5*time.Second, "the write to be counted", func() bool { return count("wire.batches_out") > 0 })
+	if in, ack, out := count("wire.batches_in"), count("wire.acks_sent"), count("wire.batches_out"); in != 1 || ack != 1 || out != 1 {
+		t.Errorf("%d frames: %d ReadBatch, %d TAck, %d WriteBatch; want 1, 1, 1", frames+1, in, ack, out)
+	}
+	if acks != 1 {
+		t.Errorf("peer saw %d TAck frames, want 1", acks)
+	}
+	if len(atHook) != 1 || atHook[0] != frames {
+		t.Errorf("OnBatchEnd ran after %v handled frames, want once after %d", atHook, frames)
 	}
 }

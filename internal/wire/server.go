@@ -12,12 +12,19 @@ import (
 // whose peer was SIGKILLed is reclaimed after this long.
 const defaultIdleTimeout = 2 * time.Minute
 
+// HoldFrames is how many frames of one session an OnData handler may
+// keep payloads of at a time (see OnData): far below the default
+// 256-frame reorder window whose slots those payloads alias.
+const HoldFrames = 64
+
 // Session is one authenticated peer on a Server: its reliability
 // endpoint, its per-peer frame stager, and its identity from the Hello
 // payload. Handler callbacks receive the session and may reply on it
 // via SendResult/SendVerdict; those methods are only valid from
-// handler context (the server's receive goroutine), which is also what
-// serializes all session state.
+// handler context (the server's receive goroutine, up to and including
+// the OnBatchEnd hook of the batch that delivered to the session),
+// which is also what serializes all session state. Replies are staged;
+// the server acks and flushes each session once per transport batch.
 type Session struct {
 	srv      *Server
 	addr     Addr
@@ -26,6 +33,7 @@ type Session struct {
 	st       *stager
 	emit     Emit
 	lastRecv int64
+	touched  bool // on srv.touched: ack and flush owed at end of batch
 
 	// pending holds reliable frames that found the send window full.
 	// Handlers run on the receive loop, so they cannot block on window
@@ -141,6 +149,12 @@ func (s *Session) drainPending(now int64) {
 // goroutine: the server is a single-threaded event loop, with a
 // ticker goroutine borrowing the same lock for retransmission and
 // session expiry.
+//
+// The loop is batch-scoped: every frame of one ReadBatch is dispatched,
+// then the OnBatchEnd hook runs, then each session that received
+// anything gets at most one TAck and one stager flush. A handler that
+// replies inline and one that defers its replies to the hook therefore
+// cost the same number of acks and write syscalls.
 type Server struct {
 	tr  Transport
 	cfg Config
@@ -152,13 +166,15 @@ type Server struct {
 	wg        sync.WaitGroup
 	idle      time.Duration
 
-	onHello   func(s *Session)
-	onData    func(s *Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte)
-	onVerdict func(s *Session, tag uint16, tuple packet.FiveTuple, report []byte)
-	logf      func(format string, args ...any)
+	onHello    func(s *Session)
+	onData     func(s *Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte)
+	onVerdict  func(s *Session, tag uint16, tuple packet.FiveTuple, report []byte)
+	onBatchEnd func()
+	logf       func(format string, args ...any)
 
 	mu       sync.Mutex
 	sessions map[Addr]*Session
+	touched  []*Session // sessions that received frames in the current batch
 	closed   bool
 	nowNanos int64 // clock snapshot for the event being processed
 	ackBuf   []byte
@@ -182,6 +198,7 @@ func NewServer(tr Transport, key uint64, cfg Config, met *Metrics) *Server {
 		idle:      defaultIdleTimeout,
 		logf:      func(string, ...any) {},
 		sessions:  make(map[Addr]*Session),
+		touched:   make([]*Session, 0, DefaultBatch),
 		ackBuf:    make([]byte, SackBytes(cfg.Window)),
 		scratch:   make([]byte, 0, MaxFramePayload),
 	}
@@ -191,6 +208,16 @@ func NewServer(tr Transport, key uint64, cfg Config, met *Metrics) *Server {
 func (v *Server) OnHello(fn func(s *Session)) { v.onHello = fn }
 
 // OnData registers the packet handler. Before Start only.
+//
+// Payload lifetime: payload aliases the session's reorder-window slot
+// for seq. A handler may keep it past its own return — to scan several
+// frames together — but only until HoldFrames further frames have been
+// delivered to it for that session, and never past the OnBatchEnd hook
+// of the current batch: the slot is rewritten when frame seq+Window
+// arrives, which a peer honouring its send window cannot send before
+// seq's result or ack has left this server. A handler that holds
+// payloads must therefore register OnBatchEnd and release everything
+// there.
 func (v *Server) OnData(fn func(s *Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte)) {
 	v.onData = fn
 }
@@ -199,6 +226,13 @@ func (v *Server) OnData(fn func(s *Session, seq uint32, tag uint16, tuple packet
 func (v *Server) OnVerdict(fn func(s *Session, tag uint16, tuple packet.FiveTuple, report []byte)) {
 	v.onVerdict = fn
 }
+
+// OnBatchEnd registers a hook that runs on the receive goroutine, in
+// handler context, after every frame of one transport ReadBatch has
+// been dispatched and before the batch's acks and replies are flushed.
+// It is where a handler that collects frames across OnData calls does
+// the collected work and replies. Before Start only.
+func (v *Server) OnBatchEnd(fn func()) { v.onBatchEnd = fn }
 
 // SetLogf routes server diagnostics. Before Start only.
 func (v *Server) SetLogf(fn func(format string, args ...any)) { v.logf = fn }
@@ -260,16 +294,16 @@ func (v *Server) recvLoop() {
 		for i := 0; i < n; i++ {
 			v.handleDatagram(dgs[i].Addr, dgs[i].Buf)
 		}
+		v.endBatch()
 		v.mu.Unlock()
 	}
 }
 
-// handleDatagram walks one datagram's frames, then flushes the
-// session's acks and staged replies. Caller holds mu.
+// handleDatagram walks one datagram's frames and marks their sessions
+// as owed an ack and a flush at the end of the batch. Caller holds mu.
 //
 //dpi:hotpath
 func (v *Server) handleDatagram(from Addr, buf []byte) {
-	var sess *Session
 	for len(buf) > 0 {
 		h, payload, rest, err := NextFrame(buf)
 		if err != nil {
@@ -278,18 +312,32 @@ func (v *Server) handleDatagram(from Addr, buf []byte) {
 		}
 		buf = rest
 		v.met.addFramesIn(1, uint64(HeaderLen+len(payload)))
-		if s := v.handleFrame(from, h, payload); s != nil {
-			sess = s
+		if s := v.handleFrame(from, h, payload); s != nil && !s.touched {
+			s.touched = true
+			v.touched = append(v.touched, s)
 		}
 	}
-	if sess == nil {
-		return
+}
+
+// endBatch closes one ReadBatch: the handler's end-of-batch hook, then
+// for every session that received frames one ack (if due) and one
+// flush of whatever the handlers staged. Caller holds mu.
+//
+//dpi:hotpath
+func (v *Server) endBatch() {
+	if v.onBatchEnd != nil {
+		v.onBatchEnd()
 	}
-	sess.drainPending(v.nowNanos)
-	if sess.ep.AckDue() {
-		sess.ep.BuildAck(v.ackBuf, sess.emit)
+	for _, sess := range v.touched {
+		sess.touched = false
+		sess.drainPending(v.nowNanos)
+		if sess.ep.AckDue() {
+			sess.ep.BuildAck(v.ackBuf, sess.emit)
+		}
+		sess.st.flush()
 	}
-	sess.st.flush()
+	clear(v.touched) // an expired session must not stay reachable from here
+	v.touched = v.touched[:0]
 }
 
 // handleFrame dispatches one frame and returns the session it belongs
