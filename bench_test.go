@@ -553,6 +553,47 @@ func BenchmarkInspectBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkScanLanes compares the DFA stage of a run of packets scanned
+// one after another with the same run streamed through the lanes
+// (mpm.ACFull.ScanLanes), on a corpus of ragged lengths cut into runs of
+// 13 packets — what one receive batch hands the wire data plane.
+func BenchmarkScanLanes(b *testing.B) {
+	set := patterns.SnortLike(2000, benchSeed)
+	corpus := benchCorpus(set, 1<<20)
+	a := buildAC(b, set)
+	emit := func(refs []mpm.PatternRef, end int) {}
+	lanes := make([]mpm.Lane, len(corpus))
+	var total int64
+	for _, p := range corpus {
+		total += int64(len(p))
+	}
+	const run = 13
+	for _, bc := range []struct {
+		name string
+		scan func(run []mpm.Lane)
+	}{
+		{"solo", func(run []mpm.Lane) {
+			for i := range run {
+				l := &run[i]
+				l.State = a.Scan(l.Data, l.State, l.Active, l.Emit)
+			}
+		}},
+		{"lanes", a.ScanLanes},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(total)
+			for i := 0; i < b.N; i++ {
+				for j, p := range corpus {
+					lanes[j] = mpm.Lane{Data: p, State: a.Start(), Active: mpm.AllSets, Emit: emit}
+				}
+				for lo := 0; lo < len(lanes); lo += run {
+					bc.scan(lanes[lo:min(lo+run, len(lanes))])
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkReportEncodeDecode measures the wire codec of Section 6.5.
 func BenchmarkReportEncodeDecode(b *testing.B) {
 	var r packet.Report

@@ -21,57 +21,51 @@ type BatchItem struct {
 	Tag     uint16
 	Tuple   packet.FiveTuple
 	Payload []byte
+	// Buf, when set, is report storage the caller owns and reuses from
+	// call to call: a matched packet's report is moved into it (Report ==
+	// Buf on return) instead of being copied, so a caller that encodes
+	// and drops reports allocates nothing once Buf has grown. Left nil,
+	// Report is a fresh copy.
+	Buf *packet.Report
 	// Report and Err are filled by InspectBatch; Report is nil when
 	// nothing matched.
 	Report *packet.Report
 	Err    error
 }
 
-const (
-	// defaultBatchLanes is how many packets one InspectBatch worker
-	// advances in lockstep through the DFA when Config.BatchInterleave
-	// is unset. Four lanes keep four independent DFA rows in flight per
-	// worker, enough to hide most of a row fetch's latency without
-	// spilling lane state out of registers.
-	defaultBatchLanes = 4
-	// maxBatchLanes caps Config.BatchInterleave.
-	maxBatchLanes = 8
-)
+// maxRun bounds the packets one lane scheduler run takes: the wire data
+// plane's own run bound (wire.HoldFrames), long enough that the
+// narrowing tail of a run is a small share of it.
+const maxRun = 64
 
 // InspectBatch scans every item, using up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS). Items are claimed in order but
-// complete in any order: callers feeding stateful chains must keep a
-// flow's packets in separate batches (or a single-worker batch) when
-// stream order matters.
+// (workers <= 0 selects GOMAXPROCS). The items are cut into runs — one
+// per worker, of at least mpm.LaneWidth and at most 64 items — which the
+// workers claim in order and complete in any order: callers feeding
+// stateful chains must keep a flow's packets in separate batches (or a
+// single-worker batch) when stream order matters.
 //
-// When the engine's automaton supports it (AutoFull, the default), each
-// worker claims a small group of items and advances the stateless ones'
-// DFA scans in lockstep, so one lane's cache miss overlaps the other
-// lanes' work instead of stalling the worker (Config.BatchInterleave).
+// When the engine's automaton supports it (AutoFull, the default), a run
+// is streamed through mpm.LaneWidth lockstep DFA walks, stateless and
+// stateful packets alike, so one walk's cache miss overlaps the others'
+// work instead of stalling the worker (inspectRun).
 //
 // With workers == 1 the call stays on the caller's goroutine and scans
-// the groups in slice order, so a flow's packets keep stream order; that
-// is the wire data plane's entry (internal/pipeline). Every group feeds
+// the runs in slice order, so a flow's packets keep stream order; that
+// is the wire data plane's entry (internal/pipeline). Every run feeds
 // core.scan_ns (one observation per packet) and core.batch_group_size.
 func (e *Engine) InspectBatch(items []BatchItem, workers int) {
-	g := 1
-	if e.acLanes != nil {
-		g = e.lanesPer
-	}
-	numGroups := (len(items) + g - 1) / g
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numGroups {
-		workers = numGroups
+	run := min(max((len(items)+workers-1)/workers, mpm.LaneWidth), maxRun)
+	numRuns := (len(items) + run - 1) / run
+	if workers > numRuns {
+		workers = numRuns
 	}
 	if workers <= 1 {
-		for lo := 0; lo < len(items); lo += g {
-			hi := lo + g
-			if hi > len(items) {
-				hi = len(items)
-			}
-			e.inspectGroupTimed(items[lo:hi])
+		for lo := 0; lo < len(items); lo += run {
+			e.inspectRunTimed(items[lo:min(lo+run, len(items))])
 		}
 		return
 	}
@@ -82,87 +76,103 @@ func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 		go func() {
 			defer wg.Done()
 			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= numGroups {
+				lo := (int(next.Add(1)) - 1) * run
+				if lo >= len(items) {
 					return
 				}
-				lo := gi * g
-				hi := lo + g
-				if hi > len(items) {
-					hi = len(items)
-				}
-				e.inspectGroupTimed(items[lo:hi])
+				e.inspectRunTimed(items[lo:min(lo+run, len(items))])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// inspectGroup scans one worker's claimed run of items. Stateless-chain
-// items are prepared, their DFA stages advanced together through
-// acLanes.ScanLanes, then finished one by one. Stateful items are
-// scanned solo: prepare holds the flow lock until finish, and two
-// packets of one flow landing in the same group must not wait on each
-// other's locks mid-group.
+// inspectRun scans one run of items in arrival order — the lane
+// scheduler. Up to mpm.LaneWidth scans are in flight: each is prepared
+// when a slot takes it, its DFA stage advances in lockstep with the
+// others' (acLanes.Advance), and the moment its packet ends it is
+// finished and the slot takes the next item, so slots stay full across
+// ragged packet lengths and at most LaneWidth scratches and flow
+// check-outs are live.
+//
+// Stateful items ride the lanes like stateless ones. An item whose flow
+// is checked out waits at the head of the queue, and the items behind it
+// with it, so every flow's packets are scanned in arrival order with the
+// state handed from one to the next. If the scan holding the flow is in
+// one of this run's own slots, advancing the slots ends the wait; if
+// another goroutine holds it, the run first completes and checks in
+// everything it has in flight and only then yields and retries, so no
+// run ever waits while it holds a check-out.
 //
 //dpi:hotpath
-func (e *Engine) inspectGroup(items []BatchItem) {
-	if e.acLanes == nil || len(items) < 2 {
+func (e *Engine) inspectRun(items []BatchItem) {
+	if e.acLanes == nil || len(items) == 1 {
 		for i := range items {
 			it := &items[i]
-			it.Report, it.Err = e.Inspect(it.Tag, it.Tuple, it.Payload)
+			it.Report, it.Err = e.inspectOne(it.Tag, it.Tuple, it.Payload, it.Buf)
 		}
 		return
 	}
 	var (
-		lanes    [maxBatchLanes]mpm.Lane
-		scr      [maxBatchLanes]*scratch
-		laneItem [maxBatchLanes]*BatchItem
-		nLanes   int
+		ls  mpm.Lanes
+		scr [mpm.LaneWidth]*scratch   // slot k's scan
+		dst [mpm.LaneWidth]*BatchItem // and the item it answers
+		// The head of the queue while its flow is checked out: looked up
+		// once, given a scratch once, prepared until it succeeds.
+		head   *scratch
+		headFS *flowState
 	)
-	for i := range items {
-		it := &items[i]
-		it.Report, it.Err = nil, nil
-		chain, ok := e.chains[it.Tag]
-		if !ok {
-			//dpi:coldalloc(error branch: unknown chain tags are a config bug, not traffic)
-			it.Err = &UnknownChainError{Tag: it.Tag}
-			continue
-		}
-		if chain.anyStateful {
-			s := e.scratchPool.Get().(*scratch)
-			it.Report = e.inspect(chain, it.Tuple, it.Payload, s)
-			e.scratchPool.Put(s)
-			continue
-		}
-		s := e.scratchPool.Get().(*scratch)
-		e.prepare(chain, it.Tuple, it.Payload, s)
-		if s.ps.limit > 0 {
-			lanes[nLanes] = mpm.Lane{
-				Data:   s.ps.scanData[:s.ps.limit],
-				State:  s.ps.state,
-				Active: chain.mask,
-				Emit:   s.emitFn,
+	for q := 0; ; {
+		for ls.Len() < mpm.LaneWidth && q < len(items) {
+			it := &items[q]
+			it.Report, it.Err = nil, nil
+			chain, ok := e.chains[it.Tag]
+			if !ok {
+				//dpi:coldalloc(error branch: unknown chain tags are a config bug, not traffic)
+				it.Err = &UnknownChainError{Tag: it.Tag}
+				q++
+				continue
 			}
-			scr[nLanes] = s
-			laneItem[nLanes] = it
-			nLanes++
-		} else {
-			it.Report = e.finish(s)
-			e.scratchPool.Put(s)
+			if head == nil {
+				head, headFS = e.scratchPool.Get().(*scratch), e.flowOf(it.Tuple)
+			}
+			if !e.prepare(chain, headFS, it.Payload, head) {
+				break
+			}
+			s := head
+			head, headFS = nil, nil
+			q++
+			if s.ps.limit == 0 {
+				it.Report = e.finish(s, it.Buf)
+				e.scratchPool.Put(s)
+				continue
+			}
+			scr[ls.Len()], dst[ls.Len()] = s, it
+			ls.Put(mpm.Lane{Data: s.ps.scanData[:s.ps.limit], State: s.ps.state, Active: chain.mask, Emit: s.emitFn})
 		}
-	}
-	if nLanes == 0 {
-		return
-	}
-	e.acLanes.ScanLanes(lanes[:nLanes])
-	for k := 0; k < nLanes; k++ {
-		s := scr[k]
-		s.ps.state = lanes[k].State
-		e.met.bytesScanned.Add(uint64(s.ps.limit))
-		laneItem[k].Report = e.finish(s)
-		e.scratchPool.Put(s)
-		lanes[k] = mpm.Lane{}
+		if ls.Len() == 0 {
+			if q == len(items) {
+				return
+			}
+			// Nothing of ours in flight, so the head's flow is checked
+			// out by another goroutine, a DFA walk away from its finish.
+			runtime.Gosched()
+			continue
+		}
+		e.acLanes.Advance(&ls)
+		for k := 0; k < ls.Len(); {
+			if !ls.Done(k) {
+				k++
+				continue
+			}
+			s := scr[k]
+			s.ps.state = ls.State(k)
+			e.met.bytesScanned.Add(uint64(s.ps.limit))
+			dst[k].Report = e.finish(s, dst[k].Buf)
+			e.scratchPool.Put(s)
+			ls.Drop(k)
+			scr[k], dst[k] = scr[ls.Len()], dst[ls.Len()]
+		}
 	}
 }
 

@@ -112,13 +112,6 @@ type Config struct {
 	// their counters — usually wrong for per-instance telemetry, so
 	// pass a dedicated registry per engine.
 	Metrics *obs.Registry
-	// BatchInterleave sets how many packets one InspectBatch worker
-	// advances in lockstep through the DFA, hiding each lane's cache-miss
-	// latency behind the others' work. 0 selects the default of 4,
-	// 1 disables interleaving, values above 8 are capped at 8. Only the
-	// full-table automaton (AutoFull) interleaves; other kinds scan one
-	// packet at a time regardless.
-	BatchInterleave int
 }
 
 // Errors returned by the engine.
@@ -187,9 +180,6 @@ func (c *Config) validate() error {
 				return fmt.Errorf("%w: chain %d references unknown middlebox %d", ErrBadProfile, tag, id)
 			}
 		}
-	}
-	if c.BatchInterleave < 0 {
-		return fmt.Errorf("%w: negative batch interleave %d", ErrBadProfile, c.BatchInterleave)
 	}
 	if c.MaxFlows <= 0 {
 		c.MaxFlows = defaultMaxFlows

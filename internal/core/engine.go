@@ -28,11 +28,10 @@ type Engine struct {
 	// (the same object as auto); the scan path uses it directly so
 	// prefilter telemetry flows without an interface indirection.
 	pf *mpm.PrefilteredAC
-	// acLanes is the concrete full-table automaton when Kind is AutoFull
-	// and batch interleaving is enabled: InspectBatch advances up to
-	// lanesPer packets' scans in lockstep through it.
-	acLanes  *mpm.ACFull
-	lanesPer int
+	// acLanes is the concrete full-table automaton when Kind is AutoFull,
+	// the one kind with lanes: InspectBatch streams each run of packets
+	// through mpm.LaneWidth lockstep walks of it (inspectRun).
+	acLanes *mpm.ACFull
 	// autoFold matches the case-insensitive (Snort nocase) patterns
 	// against a case-folded view of the payload; nil when no profile
 	// has any.
@@ -230,13 +229,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.profiles[p.ID] = cp
 		e.profileBySet[p.ID] = cp
 	}
-	e.lanesPer = cfg.BatchInterleave
-	if e.lanesPer == 0 {
-		e.lanesPer = defaultBatchLanes
-	}
-	if e.lanesPer > maxBatchLanes {
-		e.lanesPer = maxBatchLanes
-	}
 	var (
 		auto mpm.Automaton
 		err  error
@@ -246,9 +238,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		var full *mpm.ACFull
 		if full, err = b.BuildFull(); err == nil {
 			auto = full
-			if e.lanesPer > 1 {
-				e.acLanes = full
-			}
+			e.acLanes = full
 		}
 	case AutoCompact:
 		auto, err = b.BuildCompact()
@@ -342,7 +332,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		reg.Gauge("core.prefilter_enabled").Set(1)
 	}
 	if e.acLanes != nil {
-		reg.Gauge("core.batch_lanes").Set(int64(e.lanesPer))
+		reg.Gauge("core.batch_lanes").Set(mpm.LaneWidth)
 	}
 	e.scratchPool.New = func() any { return e.newScratch() }
 	return e, nil
@@ -385,52 +375,87 @@ func checkWindow(constraints map[uint16]posConstraint, r mpm.PatternRef, end int
 // Inspect is re-entrant: calls for different flows run fully in
 // parallel, and calls for the same flow contend only on that flow's
 // state (and only when the chain is stateful). Concurrent packets of
-// one stateful flow are serialized in lock-acquisition order, so
+// one stateful flow are scanned one after another in check-out order, so
 // callers needing exact stream order must submit a flow's packets
 // sequentially.
 //
 //dpi:hotpath
 func (e *Engine) Inspect(tag uint16, tuple packet.FiveTuple, payload []byte) (*packet.Report, error) {
+	return e.inspectOne(tag, tuple, payload, nil)
+}
+
+// inspectOne scans one packet by itself: the one-packet composition of
+// the stages the lane scheduler interleaves (see inspectRun). into is
+// finish's.
+//
+//dpi:hotpath
+func (e *Engine) inspectOne(tag uint16, tuple packet.FiveTuple, payload []byte, into *packet.Report) (*packet.Report, error) {
 	chain, ok := e.chains[tag]
 	if !ok {
 		//dpi:coldalloc(error branch: unknown chain tags are a config bug, not traffic)
 		return nil, &UnknownChainError{Tag: tag}
 	}
 	s := e.scratchPool.Get().(*scratch)
-	rep := e.inspect(chain, tuple, payload, s)
+	fs := e.flowOf(tuple)
+	for !e.prepare(chain, fs, payload, s) {
+		// Another scan has the flow checked out; it holds no lock we
+		// could sleep on, and it is a DFA walk away from checking in.
+		runtime.Gosched()
+	}
+	e.walk(s)
+	rep := e.finish(s, into)
 	e.scratchPool.Put(s)
 	return rep, nil
 }
 
-// inspect runs one scan using the given scratch. The chain has already
-// been resolved. The body is split into prepare / DFA stage / finish so
-// InspectBatch can run the DFA stage of several prepared scans in
-// lockstep (see inspectGroup); this function is the one-packet
-// composition of the three stages.
+// flowOf returns tuple's flow record, counting the packet against its
+// shard. The record carries the DFA scan state for stateful chains and,
+// for every chain, the per-flow telemetry MCA² consumes (Section 4.3.1).
 //
 //dpi:hotpath
-func (e *Engine) inspect(chain *chainInfo, tuple packet.FiveTuple, payload []byte, s *scratch) *packet.Report {
-	e.prepare(chain, tuple, payload, s)
-	if e.auto != nil && s.ps.limit > 0 {
-		if e.pf != nil {
-			// The concrete two-stage matcher, so telemetry accumulates
-			// into the scratch and finish can fold it into the counters.
-			s.ps.state = e.pf.ScanStats(s.ps.scanData[:s.ps.limit], s.ps.state, chain.mask, s.emitFn, &s.pfStats)
-		} else {
-			s.ps.state = e.auto.Scan(s.ps.scanData[:s.ps.limit], s.ps.state, chain.mask, s.emitFn)
-		}
-		e.met.bytesScanned.Add(uint64(s.ps.limit))
-	}
-	return e.finish(s)
+func (e *Engine) flowOf(tuple packet.FiveTuple) *flowState {
+	sh := e.shards[tuple.FastHash()&e.shardMask]
+	sh.scans.Inc()
+	return sh.flow(e, tuple)
 }
 
-// prepare runs everything ahead of the main DFA stage of one scan:
-// per-packet metrics, decompression, flow lookup (taking the flow lock
-// on stateful chains — held until finish), stopping conditions, and
-// report reset. The resulting scan plan is left in s.ps.
+// prepare runs everything ahead of the main DFA stage of one scan: flow
+// check-out on stateful chains, per-packet metrics, decompression,
+// stopping conditions, and report reset. The resulting scan plan is left
+// in s.ps. It returns false, having done and counted nothing, when the
+// chain is stateful and another scan has the flow checked out; the
+// caller tries again after that scan's finish.
 //
 //dpi:hotpath
-func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byte, s *scratch) {
+func (e *Engine) prepare(chain *chainInfo, fs *flowState, payload []byte, s *scratch) bool {
+	state := mpm.State(0)
+	if e.auto != nil {
+		state = e.auto.Start()
+	}
+	foldState := mpm.State(0)
+	if e.autoFold != nil {
+		foldState = e.autoFold.Start()
+	}
+	var offset int64
+	if chain.anyStateful {
+		// Check the flow out: from here to finish this scan owns its
+		// state, and mu is held only for the copy.
+		fs.mu.Lock()
+		busy := fs.scanning
+		if !busy {
+			fs.scanning = true
+			state = fs.state
+			if e.autoFold != nil && fs.foldStarted {
+				foldState = fs.foldState
+			}
+			offset = fs.offset
+		}
+		fs.mu.Unlock()
+		if busy {
+			return false
+		}
+	}
+
 	e.met.packets.Inc()
 	e.met.bytes.Add(uint64(len(payload)))
 	e.met.payloadBytes.Observe(uint64(len(payload)))
@@ -444,32 +469,6 @@ func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byt
 			scanData = dec
 			e.met.decompressed.Inc()
 		}
-	}
-
-	// The flow record carries the DFA scan state for stateful chains
-	// and, for every chain, the per-flow telemetry MCA² consumes
-	// (Section 4.3.1).
-	sh := e.shards[tuple.FastHash()&e.shardMask]
-	sh.scans.Inc()
-	fs := sh.flow(e, tuple)
-	state := mpm.State(0)
-	if e.auto != nil {
-		state = e.auto.Start()
-	}
-	foldState := mpm.State(0)
-	if e.autoFold != nil {
-		foldState = e.autoFold.Start()
-	}
-	var offset int64
-	if chain.anyStateful {
-		// The flow lock serializes stateful scans of this one flow;
-		// packets of other flows are unaffected.
-		fs.mu.Lock()
-		state = fs.state
-		if e.autoFold != nil && fs.foldStarted {
-			foldState = fs.foldState
-		}
-		offset = fs.offset
 	}
 
 	// Determine how deep this packet must be scanned: the most
@@ -493,17 +492,37 @@ func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byt
 	s.report.Reset()
 	s.cur = scanCtx{chain: chain, report: &s.report, offset: offset, fromRestore: chain.anyStateful && offset > 0}
 	s.ps = pscan{chain: chain, fs: fs, scanData: scanData, limit: limit, state: state, foldState: foldState, offset: offset}
+	return true
+}
+
+// walk is the main DFA stage of a prepared scan run by itself; the lane
+// scheduler runs the same stage of several scans in lockstep instead.
+//
+//dpi:hotpath
+func (e *Engine) walk(s *scratch) {
+	if e.auto == nil || s.ps.limit == 0 {
+		return
+	}
+	data, mask := s.ps.scanData[:s.ps.limit], s.ps.chain.mask
+	if e.pf != nil {
+		// The concrete two-stage matcher, so telemetry accumulates into
+		// the scratch and finish can fold it into the counters.
+		s.ps.state = e.pf.ScanStats(data, s.ps.state, mask, s.emitFn, &s.pfStats)
+	} else {
+		s.ps.state = e.auto.Scan(data, s.ps.state, mask, s.emitFn)
+	}
+	e.met.bytesScanned.Add(uint64(s.ps.limit))
 }
 
 // finish completes a prepared scan after the main DFA stage has run
 // (s.ps.state updated): the case-fold scan, regex confirmation, flow
-// state write-back, counters, and the report hand-off. On stateful
-// chains the flow lock prepare took is still held on entry and is
-// released here — the locked(mu) contract below.
+// check-in on stateful chains, counters, and the report hand-off — nil
+// when nothing matched, otherwise a copy the caller owns or, when the
+// caller passed its own reusable storage as into, into itself after it
+// has traded storage with the scratch's report.
 //
 //dpi:hotpath
-//dpi:locked(mu)
-func (e *Engine) finish(s *scratch) *packet.Report {
+func (e *Engine) finish(s *scratch, into *packet.Report) *packet.Report {
 	chain, fs := s.ps.chain, s.ps.fs
 	scanData, limit, offset := s.ps.scanData, s.ps.limit, s.ps.offset
 	foldState := s.ps.foldState
@@ -518,12 +537,15 @@ func (e *Engine) finish(s *scratch) *packet.Report {
 	s.finishRegexes(chain, scanData, offset)
 
 	if chain.anyStateful {
+		// Check the flow back in for its next packet.
+		fs.mu.Lock()
 		fs.state = s.ps.state
 		if e.autoFold != nil {
 			fs.foldState = foldState
 			fs.foldStarted = true
 		}
 		fs.offset = offset + int64(len(scanData))
+		fs.scanning = false
 		fs.mu.Unlock()
 	}
 	fs.bytes.Add(uint64(len(scanData)))
@@ -538,6 +560,12 @@ func (e *Engine) finish(s *scratch) *packet.Report {
 		return nil
 	}
 	e.met.reports.Inc()
+	if into != nil {
+		// The scratch keeps into's old storage for its next report, so
+		// neither side allocates once both have grown.
+		*into, s.report = s.report, *into
+		return into
+	}
 	// The scratch (and its report) go back to the pool; hand the
 	// caller an owned copy. Non-empty reports are the rare case
 	// (Section 6.5: >90% of packets match nothing), so the common path

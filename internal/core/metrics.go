@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"dpiservice/internal/mpm"
@@ -47,9 +48,9 @@ type engineMetrics struct {
 	shardScans []*obs.Counter
 }
 
-// groupSizeBounds gives core.batch_group_size one bucket per possible
-// lane-group size, 1..maxBatchLanes.
-var groupSizeBounds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+// groupSizeBounds buckets core.batch_group_size, the packets per lane
+// scheduler run, 1..maxRun.
+var groupSizeBounds = []uint64{1, 2, 4, 8, 16, 32, maxRun}
 
 func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 	m := &engineMetrics{
@@ -121,23 +122,23 @@ func (e *Engine) InspectTimed(tag uint16, tuple packet.FiveTuple, payload []byte
 	return rep, err
 }
 
-// inspectGroupTimed is inspectGroup plus the batch path's telemetry:
-// the group's size into core.batch_group_size (are batches filling the
-// lanes?) and one core.scan_ns observation per packet, each charged the
-// group's mean. As with InspectTimed, the clock reads live out here so
-// the //dpi:hotpath-checked inspectGroup stays clock-free.
-func (e *Engine) inspectGroupTimed(items []BatchItem) {
+// inspectRunTimed is inspectRun plus the batch path's telemetry: the
+// run's length into core.batch_group_size (are runs long enough to keep
+// the lanes full?) and one core.scan_ns observation per packet, each
+// charged the run's mean. As with InspectTimed, the clock reads live out
+// here so the //dpi:hotpath-checked inspectRun stays clock-free.
+func (e *Engine) inspectRunTimed(items []BatchItem) {
 	start := time.Now()
-	e.inspectGroup(items)
+	e.inspectRun(items)
 	n := uint64(len(items))
 	e.met.scanNs.ObserveN(uint64(time.Since(start))/n, n)
 	e.met.groupSize.Observe(n)
 }
 
 // InspectStaged is Inspect with per-stage timing: it reports how long
-// the prepare stage (decompression, flow admission, stopping
-// conditions — the wire pipeline's "reassembly" stage) and the scan
-// stage (DFA traversal plus regex confirmation and flow write-back)
+// the prepare stage (flow admission and check-out, decompression,
+// stopping conditions — the wire pipeline's "reassembly" stage) and the
+// scan stage (DFA traversal plus regex confirmation and flow check-in)
 // each took, for span-level tracing. The clock reads live here,
 // between the //dpi:hotpath-checked stages, so the checked scan path
 // itself stays clock-free and Inspect is unchanged for untraced
@@ -149,17 +150,13 @@ func (e *Engine) InspectStaged(tag uint16, tuple packet.FiveTuple, payload []byt
 	}
 	s := e.scratchPool.Get().(*scratch)
 	t0 := time.Now()
-	e.prepare(chain, tuple, payload, s)
-	t1 := time.Now()
-	if e.auto != nil && s.ps.limit > 0 {
-		if e.pf != nil {
-			s.ps.state = e.pf.ScanStats(s.ps.scanData[:s.ps.limit], s.ps.state, chain.mask, s.emitFn, &s.pfStats)
-		} else {
-			s.ps.state = e.auto.Scan(s.ps.scanData[:s.ps.limit], s.ps.state, chain.mask, s.emitFn)
-		}
-		e.met.bytesScanned.Add(uint64(s.ps.limit))
+	fs := e.flowOf(tuple)
+	for !e.prepare(chain, fs, payload, s) {
+		runtime.Gosched()
 	}
-	rep = e.finish(s)
+	t1 := time.Now()
+	e.walk(s)
+	rep = e.finish(s, nil)
 	t2 := time.Now()
 	e.scratchPool.Put(s)
 	e.met.scanNs.Observe(uint64(t2.Sub(t0)))

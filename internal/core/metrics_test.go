@@ -157,7 +157,7 @@ func BenchmarkInspectAllocs(b *testing.B) {
 }
 
 // TestBatchTelemetry checks that the batch entry keeps core.scan_ns at
-// one observation per packet and reports its lane-group sizes.
+// one observation per packet and reports its run lengths.
 func TestBatchTelemetry(t *testing.T) {
 	e, err := NewEngine(twoBoxConfig())
 	if err != nil {
@@ -172,8 +172,8 @@ func TestBatchTelemetry(t *testing.T) {
 	if h, _ := snap.Histogram("core.scan_ns"); h.Count != 10 {
 		t.Errorf("core.scan_ns has %d observations for 10 packets", h.Count)
 	}
-	// Ten packets at the default four lanes: groups of 4, 4 and 2.
-	if h, _ := snap.Histogram("core.batch_group_size"); h.Count != 3 || h.Sum != 10 {
-		t.Errorf("core.batch_group_size: %d groups holding %d packets, want 3 holding 10", h.Count, h.Sum)
+	// One worker takes ten packets as one run.
+	if h, _ := snap.Histogram("core.batch_group_size"); h.Count != 1 || h.Sum != 10 {
+		t.Errorf("core.batch_group_size: %d runs holding %d packets, want 1 holding 10", h.Count, h.Sum)
 	}
 }

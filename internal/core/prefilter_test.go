@@ -139,54 +139,11 @@ func TestPrefilterCounters(t *testing.T) {
 	}
 }
 
-// TestBatchInterleaveConfig pins the BatchInterleave knob: 1 disables
-// lane batching, negative values are rejected, and a disabled engine
-// still batches correctly.
-func TestBatchInterleaveConfig(t *testing.T) {
-	cfg := twoBoxConfig()
-	cfg.BatchInterleave = -2
-	if _, err := NewEngine(cfg); !errors.Is(err, ErrBadProfile) {
-		t.Fatalf("negative BatchInterleave: err = %v, want ErrBadProfile", err)
-	}
-
-	off := twoBoxConfig()
-	off.BatchInterleave = 1
-	e, err := NewEngine(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.acLanes != nil {
-		t.Fatal("BatchInterleave=1 left lane batching enabled")
-	}
-	ref, err := NewEngine(twoBoxConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.acLanes == nil || ref.lanesPer != defaultBatchLanes {
-		t.Fatalf("default engine lanes: %v x%d, want enabled x%d", ref.acLanes != nil, ref.lanesPer, defaultBatchLanes)
-	}
-	var items, refItems []BatchItem
-	for i := 0; i < 64; i++ {
-		p := []byte("an evil payload with malware-body inside")
-		items = append(items, BatchItem{Tag: 2, Tuple: parallelFlowTuple(i % 8), Payload: p})
-		refItems = append(refItems, BatchItem{Tag: 2, Tuple: parallelFlowTuple(i % 8), Payload: p})
-	}
-	e.InspectBatch(items, 4)
-	ref.InspectBatch(refItems, 4)
-	for i := range items {
-		if items[i].Err != nil || refItems[i].Err != nil {
-			t.Fatal(items[i].Err, refItems[i].Err)
-		}
-		if got, want := flatten(items[i].Report), flatten(refItems[i].Report); !reflect.DeepEqual(got, want) {
-			t.Fatalf("item %d: solo %v, interleaved %v", i, got, want)
-		}
-	}
-}
-
 // TestInspectBatchMixedChains drives stateful and stateless chains plus
-// unknown tags through the grouped batch path: stateful items must scan
-// solo (same-flow packets in one group must not deadlock), unknown tags
-// must error per item, and every report must match a serial reference.
+// unknown tags through the lane scheduler: same-flow stateful packets
+// next to each other in one run must neither deadlock nor reorder,
+// unknown tags must error per item, and every report must match a serial
+// reference.
 func TestInspectBatchMixedChains(t *testing.T) {
 	e, err := NewEngine(twoBoxConfig())
 	if err != nil {
@@ -203,8 +160,8 @@ func TestInspectBatchMixedChains(t *testing.T) {
 			tag = 999 // unknown
 		}
 		items = append(items, BatchItem{
-			// One tuple per stateful chain keeps a flow's packets
-			// repeatedly in the same group.
+			// One tuple per chain: every stateful packet finds its flow
+			// checked out by the one two items ahead of it.
 			Tag: tag, Tuple: parallelFlowTuple(int(tag)), Payload: []byte("an evil payload"),
 		})
 	}

@@ -31,8 +31,8 @@ type scratch struct {
 	// rx is indexed parallel to Engine.rxProfiles.
 	rx []rxScratch
 	// ps carries one inspection's in-flight scan between prepare and
-	// finish, so InspectBatch can interleave the DFA stage of several
-	// prepared scans before finishing each.
+	// finish, so the lane scheduler can interleave the DFA stage of
+	// several prepared scans.
 	ps pscan
 	// pfStats accumulates the prefilter telemetry of the scan in
 	// progress; finish folds it into the engine counters and clears it.
@@ -42,7 +42,8 @@ type scratch struct {
 // pscan is the state of one inspection between prepare (metrics,
 // decompression, flow lookup, stopping conditions, report reset) and
 // finish (fold scan, regex confirmation, flow-state store, counters).
-// For a stateful chain the flow's lock is held across the whole span.
+// For a stateful chain the flow is checked out to this scan for the
+// whole span, and state and offset are its copies.
 type pscan struct {
 	chain     *chainInfo
 	fs        *flowState

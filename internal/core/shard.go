@@ -12,9 +12,9 @@ import (
 
 // The shard lock and a flow's lock are never held together today (flow
 // returns the state after releasing the shard); the declared order pins
-// the only acceptable nesting should one ever appear — the short
-// hash-lookup lock outside the long per-flow scan lock, never a shard
-// operation waiting on a DFA traversal.
+// the only acceptable nesting should one ever appear. Neither lock spans
+// a DFA traversal: the shard's covers a hash lookup, a flow's the copy
+// of its scan state out to a scan or back in (see flowState).
 //
 //dpi:lockorder(core.flowShard.mu < core.flowState.mu)
 
@@ -35,10 +35,18 @@ type flowShard struct {
 }
 
 type flowState struct {
-	// mu serializes stateful scans of this one flow (a flow's DFA
-	// state must advance in packet order); stateless chains never take
-	// it.
+	// A flow's DFA state must advance in packet order, so one stateful
+	// scan at a time owns it — by check-out, not by holding mu across the
+	// walk: prepare takes mu to copy state and offset out and set
+	// scanning, the scan runs with no lock held, and finish takes mu to
+	// store them back and clear scanning. A scan that finds scanning set
+	// does not wait on mu; it tries again once the owner has checked in.
+	// Nobody therefore holds two flows' locks, however many flows a
+	// goroutine has checked out (the lane scheduler: up to
+	// mpm.LaneWidth). Stateless chains never take mu.
 	mu sync.Mutex
+	//dpi:guardedby(mu)
+	scanning bool
 	//dpi:guardedby(mu)
 	state mpm.State
 	//dpi:guardedby(mu)

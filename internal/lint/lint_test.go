@@ -177,11 +177,16 @@ func TestModule(t *testing.T) {
 	}
 	for _, name := range []string{
 		"core.Engine.Inspect",
-		"core.Engine.inspect",
+		"core.Engine.inspectOne",
+		"core.Engine.inspectRun",
+		"core.Engine.prepare",
+		"core.Engine.finish",
 		"core.flowShard.flow",
 		"core.flowShard.evictFlow",
 		"core.scratch.emit",
 		"mpm.ACFull.Scan",
+		"mpm.ACFull.Advance",
+		"mpm.ACFull.ScanLanes",
 		"mpm.ACCompact.Scan",
 		"mpm.ACBitmap.Scan",
 	} {

@@ -1,6 +1,7 @@
 package mpm
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -85,6 +86,63 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 			}
 			if !equalMatches(wantMs, gotMs) {
 				t.Fatalf("split %d: %d matches, want %d", cut, len(gotMs), len(wantMs))
+			}
+		}
+	})
+}
+
+// FuzzScanLanes asserts the lane scheduler's invariant: however many
+// lanes stream through the slots, of whatever lengths and from whatever
+// states, each lane's match stream and final state are those of Scan on
+// that lane alone. The fuzzer's bytes are the text the lanes walk; the
+// seed draws the run's shape — 0 to 70 lanes (none, fewer than the
+// slots, many refills), 0 to 1500 bytes each, half of them resuming
+// mid-pattern, one in eight with every set masked off.
+func FuzzScanLanes(f *testing.F) {
+	pfFuzzSetup(f)
+	f.Add([]byte("GET /admin/../../etc/passwd HTTP/1.1\r\nHost: x\r\n\r\n"), int64(1))
+	f.Add([]byte(pfFuzzPats[0]+pfFuzzPats[1]+pfFuzzPats[2]), int64(2))
+	f.Add([]byte{}, int64(3))
+	f.Add(make([]byte, 64), int64(4))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
+		pfFuzzSetup(t)
+		a, pats := pfFuzzPlain, pfFuzzPats
+		rng := rand.New(rand.NewSource(seed))
+		lanes := make([]Lane, rng.Intn(71))
+		wantStates := make([]State, len(lanes))
+		wantMs := make([][]matchRec, len(lanes))
+		gotMs := make([][]matchRec, len(lanes))
+		for i := range lanes {
+			n := rng.Intn(1501)
+			if rng.Intn(5) == 0 {
+				n = 0
+			}
+			text := make([]byte, n)
+			if len(data) > 0 {
+				for j, off := 0, rng.Intn(len(data)); j < len(text); j++ {
+					text[j] = data[(off+j)%len(data)]
+				}
+			}
+			injectInto(rng, text, pats, rng.Intn(4))
+			st := a.Start()
+			if rng.Intn(2) == 0 {
+				p := pats[rng.Intn(len(pats))]
+				st = a.Scan([]byte(p[:rng.Intn(len(p))]), st, AllSets, func([]PatternRef, int) {})
+			}
+			active := AllSets
+			if rng.Intn(8) == 0 {
+				active = 0
+			}
+			lanes[i] = Lane{Data: text, State: st, Active: active, Emit: collect(&gotMs[i], active)}
+			wantStates[i] = a.Scan(text, st, active, collect(&wantMs[i], active))
+		}
+		a.ScanLanes(lanes)
+		for i := range lanes {
+			if lanes[i].State != wantStates[i] {
+				t.Fatalf("lane %d of %d (%d bytes): state %d, want %d", i, len(lanes), len(lanes[i].Data), lanes[i].State, wantStates[i])
+			}
+			if !equalMatches(wantMs[i], gotMs[i]) {
+				t.Fatalf("lane %d of %d (%d bytes): %d matches, want %d", i, len(lanes), len(lanes[i].Data), len(gotMs[i]), len(wantMs[i]))
 			}
 		}
 	})

@@ -1,17 +1,30 @@
 package mpm
 
-// Batch-interleaved scanning: several packets' DFA walks advance in
-// lockstep inside one goroutine. A big merged automaton misses cache on
-// most row loads, and a single scan chain serializes those misses — the
-// next state load cannot issue until the previous one returns. Four
-// independent chains give the core four loads in flight at once
-// (memory-level parallelism), hiding most of the miss latency without
-// threads. This is the software analogue of the paper's observation
-// that the DFA walk, not pattern count, bounds throughput.
+// Streaming DFA lanes: several packets' DFA walks advance in lockstep
+// inside one goroutine. A big merged automaton misses cache on most row
+// loads, and a single scan chain serializes those misses — the next
+// state load cannot issue until the previous one returns. Independent
+// chains give the core that many loads in flight at once (memory-level
+// parallelism), hiding most of the miss latency without threads. This is
+// the software analogue of the paper's observation that the DFA walk,
+// not pattern count, bounds throughput.
+//
+// Packets differ in length, so the walks are not grouped: a Lanes value
+// holds up to LaneWidth of them, Advance moves them all until the
+// shortest ends, and the caller replaces a finished walk with the next
+// packet at once. Every slot stays busy until the queue runs dry, and
+// the last few walks finish together in a narrower lockstep.
 
-// Lane is one packet's scan in an interleaved batch: its payload, the
-// DFA state to resume from, the active-set mask and the emit callback.
-// ScanLanes updates State in place.
+// LaneWidth is how many walks advance in lockstep. Eight against four,
+// measured on the benchmark's four corpora in runs of 13 packets (MB/s
+// of DFA, one core): multi-tenant 610 against 460, attack-dense 150
+// against 112, http-mtu 941 against 897, small-pkt 774 against 736 (the
+// table is in DESIGN.md, "Streaming lanes").
+const LaneWidth = 8
+
+// Lane is one packet's scan: its payload, the DFA state to resume from,
+// the active-set mask and the emit callback. ScanLanes updates State in
+// place.
 type Lane struct {
 	Data   []byte
 	State  State
@@ -19,79 +32,219 @@ type Lane struct {
 	Emit   EmitFunc
 }
 
-// ScanLanes advances every lane's scan to completion, interleaving them
-// four at a time. The per-lane result — emitted matches and final
-// state — is identical to calling Scan(l.Data, l.State, l.Active,
-// l.Emit) lane by lane; only the instruction schedule differs.
+// Lanes is up to LaneWidth walks in flight, in slots [0, Len()). Put adds
+// one, Advance moves them all, and a walk that is Done is read with State
+// and taken out with Drop before the next Advance. The zero value is
+// empty.
+type Lanes struct {
+	n      int
+	d      [LaneWidth][]byte // each walk's bytes still to scan
+	base   [LaneWidth]int    // bytes of it already scanned
+	s      [LaneWidth]State
+	active [LaneWidth]uint64
+	emit   [LaneWidth]EmitFunc
+}
+
+// Len reports how many walks are in flight.
+func (ls *Lanes) Len() int { return ls.n }
+
+// Put starts l's walk in slot Len(). The caller keeps Len() below
+// LaneWidth and l.Data non-empty (a walk over no bytes is already
+// done).
 //
 //dpi:hotpath
-func (a *ACFull) ScanLanes(lanes []Lane) {
-	for len(lanes) >= 4 {
-		a.scan4(lanes)
-		lanes = lanes[4:]
+func (ls *Lanes) Put(l Lane) {
+	k := ls.n
+	ls.d[k], ls.base[k], ls.s[k], ls.active[k], ls.emit[k] = l.Data, 0, l.State, l.Active, l.Emit
+	ls.n++
+}
+
+// Done reports whether slot k's walk has consumed all its bytes.
+func (ls *Lanes) Done(k int) bool { return len(ls.d[k]) == 0 }
+
+// State returns the DFA state slot k's walk has reached.
+func (ls *Lanes) State(k int) State { return ls.s[k] }
+
+// Drop takes slot k's walk out by moving the last walk, slot Len()-1,
+// into its place; a caller keeping per-slot data moves it the same way.
+//
+//dpi:hotpath
+func (ls *Lanes) Drop(k int) {
+	ls.n--
+	m := ls.n
+	ls.d[k], ls.base[k], ls.s[k], ls.active[k], ls.emit[k] = ls.d[m], ls.base[m], ls.s[m], ls.active[m], ls.emit[m]
+}
+
+// Advance moves every walk forward by the bytes the shortest has left,
+// so at least one is Done afterwards. Per walk, the emitted matches and
+// the state reached are those of Scan over the same bytes; only the
+// instruction schedule differs. Five to eight walks run in the eight-wide
+// kernel, two to four in the four-wide one, a single walk alone; empty
+// slots of a kernel shadow slot 0 with every set masked off, which
+// costs no cache line slot 0 does not already fetch.
+//
+//dpi:hotpath
+func (a *ACFull) Advance(ls *Lanes) {
+	if ls.n == 0 {
+		return
 	}
-	for i := range lanes {
-		l := &lanes[i]
-		l.State = a.Scan(l.Data, l.State, l.Active, l.Emit)
+	n := len(ls.d[0])
+	for k := 1; k < ls.n; k++ {
+		if len(ls.d[k]) < n {
+			n = len(ls.d[k])
+		}
+	}
+	switch {
+	case ls.n == 1:
+		a.step1(ls, n)
+	case ls.n <= LaneWidth/2:
+		ls.shadow(LaneWidth / 2)
+		a.step4(ls, n)
+	default:
+		ls.shadow(LaneWidth)
+		a.step8(ls, n)
+	}
+	for k := 0; k < ls.n; k++ {
+		ls.d[k] = ls.d[k][n:]
+		ls.base[k] += n
 	}
 }
 
-// scan4 runs four lanes in lockstep over their common length, then
-// finishes each lane's remainder with a plain chain.
+// shadow points the empty slots below width at slot 0's bytes and state
+// with no set active, so a kernel wider than Len() has bytes to walk
+// and nothing to emit.
 //
 //dpi:hotpath
-func (a *ACFull) scan4(l []Lane) {
-	l0, l1, l2, l3 := &l[0], &l[1], &l[2], &l[3]
-	d0, d1, d2, d3 := l0.Data, l1.Data, l2.Data, l3.Data
-	s0, s1, s2, s3 := l0.State, l1.State, l2.State, l3.State
-	n := len(d0)
-	if len(d1) < n {
-		n = len(d1)
+func (ls *Lanes) shadow(width int) {
+	for k := ls.n; k < width; k++ {
+		ls.d[k], ls.s[k], ls.active[k] = ls.d[0], ls.s[0], 0
 	}
-	if len(d2) < n {
-		n = len(d2)
-	}
-	if len(d3) < n {
-		n = len(d3)
-	}
+}
+
+// step1 walks slot 0 alone over its next n bytes.
+//
+//dpi:hotpath
+func (a *ACFull) step1(ls *Lanes, n int) {
 	next := a.next
 	acc := a.numAccepting
+	s0 := ls.s[0]
+	for i, c := range ls.d[0][:n] {
+		s0 = next[int(s0)<<8|int(c)]
+		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
+			ls.emit[0](a.match[s0], ls.base[0]+i+1)
+		}
+	}
+	ls.s[0] = s0
+}
+
+// step4 walks slots 0-3 in lockstep over their next n bytes.
+//
+//dpi:hotpath
+func (a *ACFull) step4(ls *Lanes, n int) {
+	next := a.next
+	acc := a.numAccepting
+	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
+	s0, s1, s2, s3 := ls.s[0], ls.s[1], ls.s[2], ls.s[3]
 	for i := 0; i < n; i++ {
 		s0 = next[int(s0)<<8|int(d0[i])]
 		s1 = next[int(s1)<<8|int(d1[i])]
 		s2 = next[int(s2)<<8|int(d2[i])]
 		s3 = next[int(s3)<<8|int(d3[i])]
-		if s0 < acc && a.bitmaps[s0]&l0.Active != 0 {
-			l0.Emit(a.match[s0], i+1)
+		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
+			ls.emit[0](a.match[s0], ls.base[0]+i+1)
 		}
-		if s1 < acc && a.bitmaps[s1]&l1.Active != 0 {
-			l1.Emit(a.match[s1], i+1)
+		if s1 < acc && a.bitmaps[s1]&ls.active[1] != 0 {
+			ls.emit[1](a.match[s1], ls.base[1]+i+1)
 		}
-		if s2 < acc && a.bitmaps[s2]&l2.Active != 0 {
-			l2.Emit(a.match[s2], i+1)
+		if s2 < acc && a.bitmaps[s2]&ls.active[2] != 0 {
+			ls.emit[2](a.match[s2], ls.base[2]+i+1)
 		}
-		if s3 < acc && a.bitmaps[s3]&l3.Active != 0 {
-			l3.Emit(a.match[s3], i+1)
+		if s3 < acc && a.bitmaps[s3]&ls.active[3] != 0 {
+			ls.emit[3](a.match[s3], ls.base[3]+i+1)
 		}
 	}
-	l0.State = a.scanFrom(d0, n, s0, l0.Active, l0.Emit)
-	l1.State = a.scanFrom(d1, n, s1, l1.Active, l1.Emit)
-	l2.State = a.scanFrom(d2, n, s2, l2.Active, l2.Emit)
-	l3.State = a.scanFrom(d3, n, s3, l3.Active, l3.Emit)
+	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = s0, s1, s2, s3
 }
 
-// scanFrom is Scan resuming at byte offset from, emitting positions in
-// whole-buffer coordinates.
+// step8 walks all eight slots in lockstep over their next n bytes.
 //
 //dpi:hotpath
-func (a *ACFull) scanFrom(data []byte, from int, state State, active uint64, emit EmitFunc) State {
+func (a *ACFull) step8(ls *Lanes, n int) {
 	next := a.next
 	acc := a.numAccepting
-	for i := from; i < len(data); i++ {
-		state = next[int(state)<<8|int(data[i])]
-		if state < acc && a.bitmaps[state]&active != 0 {
-			emit(a.match[state], i+1)
+	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
+	d4, d5, d6, d7 := ls.d[4][:n], ls.d[5][:n], ls.d[6][:n], ls.d[7][:n]
+	s0, s1, s2, s3 := ls.s[0], ls.s[1], ls.s[2], ls.s[3]
+	s4, s5, s6, s7 := ls.s[4], ls.s[5], ls.s[6], ls.s[7]
+	for i := 0; i < n; i++ {
+		s0 = next[int(s0)<<8|int(d0[i])]
+		s1 = next[int(s1)<<8|int(d1[i])]
+		s2 = next[int(s2)<<8|int(d2[i])]
+		s3 = next[int(s3)<<8|int(d3[i])]
+		s4 = next[int(s4)<<8|int(d4[i])]
+		s5 = next[int(s5)<<8|int(d5[i])]
+		s6 = next[int(s6)<<8|int(d6[i])]
+		s7 = next[int(s7)<<8|int(d7[i])]
+		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
+			ls.emit[0](a.match[s0], ls.base[0]+i+1)
+		}
+		if s1 < acc && a.bitmaps[s1]&ls.active[1] != 0 {
+			ls.emit[1](a.match[s1], ls.base[1]+i+1)
+		}
+		if s2 < acc && a.bitmaps[s2]&ls.active[2] != 0 {
+			ls.emit[2](a.match[s2], ls.base[2]+i+1)
+		}
+		if s3 < acc && a.bitmaps[s3]&ls.active[3] != 0 {
+			ls.emit[3](a.match[s3], ls.base[3]+i+1)
+		}
+		if s4 < acc && a.bitmaps[s4]&ls.active[4] != 0 {
+			ls.emit[4](a.match[s4], ls.base[4]+i+1)
+		}
+		if s5 < acc && a.bitmaps[s5]&ls.active[5] != 0 {
+			ls.emit[5](a.match[s5], ls.base[5]+i+1)
+		}
+		if s6 < acc && a.bitmaps[s6]&ls.active[6] != 0 {
+			ls.emit[6](a.match[s6], ls.base[6]+i+1)
+		}
+		if s7 < acc && a.bitmaps[s7]&ls.active[7] != 0 {
+			ls.emit[7](a.match[s7], ls.base[7]+i+1)
 		}
 	}
-	return state
+	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = s0, s1, s2, s3
+	ls.s[4], ls.s[5], ls.s[6], ls.s[7] = s4, s5, s6, s7
+}
+
+// ScanLanes scans every lane to completion, streaming them through the
+// slots in slice order: a slot whose lane ends takes the next lane at
+// once. The per-lane result — emitted matches and final state — is
+// identical to calling Scan(l.Data, l.State, l.Active, l.Emit) lane by
+// lane.
+//
+//dpi:hotpath
+func (a *ACFull) ScanLanes(lanes []Lane) {
+	var (
+		ls Lanes
+		of [LaneWidth]int // slot k walks lanes[of[k]]
+	)
+	for q := 0; ; {
+		for ; ls.n < LaneWidth && q < len(lanes); q++ {
+			if len(lanes[q].Data) > 0 {
+				of[ls.n] = q
+				ls.Put(lanes[q])
+			}
+		}
+		if ls.n == 0 {
+			return
+		}
+		a.Advance(&ls)
+		for k := 0; k < ls.n; {
+			if !ls.Done(k) {
+				k++
+				continue
+			}
+			lanes[of[k]].State = ls.s[k]
+			ls.Drop(k)
+			of[k] = of[ls.n]
+		}
+	}
 }

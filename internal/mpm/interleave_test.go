@@ -18,17 +18,18 @@ func TestScanLanesMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(53))
-	// Sweep lane counts across the lockstep width (4): remainder lanes,
-	// exact groups, and multiple groups.
-	for _, nLanes := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
+	// Sweep lane counts across the kernel widths (1, 4, LaneWidth): runs
+	// that never fill the slots, that fill them exactly, and that refill
+	// them several times over.
+	for _, nLanes := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 40} {
 		for trial := 0; trial < 10; trial++ {
 			lanes := make([]Lane, nLanes)
 			wantStates := make([]State, nLanes)
 			wantMs := make([][]matchRec, nLanes)
 			gotMs := make([][]matchRec, nLanes)
 			for i := range lanes {
-				// Mixed lengths (including empty) exercise the common-
-				// prefix lockstep plus per-lane tails.
+				// Mixed lengths (including empty) end the walks at
+				// different steps, so slots refill out of order.
 				n := rng.Intn(1200)
 				if trial == 0 && i == 0 {
 					n = 0

@@ -19,9 +19,9 @@ import (
 // answers it with its encoded match report. It runs to completion per
 // transport batch on the server's receive goroutine: the TData frames of
 // one ReadBatch are collected, scanned together with
-// Engine.InspectBatch(items, 1) — arrival order, so a stateful flow
-// keeps stream order, while stateless packets advance through the DFA in
-// interleaved lanes — and answered, and the server then acks and flushes
+// Engine.InspectBatch(items, 1) — one run through the engine's streaming
+// DFA lanes, stateless and stateful packets alike, each flow's packets in
+// arrival order — and answered, and the server then acks and flushes
 // each session once.
 //
 // Set the exported fields, then Attach; a Scanner serves one server.
@@ -43,7 +43,11 @@ type Scanner struct {
 	// bounds a run to wire.HoldFrames and to the current batch.
 	items []core.BatchItem
 	from  []origin
-	enc   []byte // report encode buffer, reused across packets
+	// reps[i] is items[i]'s report storage (core.BatchItem.Buf): a report
+	// is encoded and dropped before the slot is held again, so the
+	// matched path reuses it instead of allocating.
+	reps []packet.Report
+	enc  []byte // report encode buffer, reused across packets
 }
 
 // origin is where one collected packet's result goes.
@@ -60,6 +64,7 @@ func (p *Scanner) Attach(srv *wire.Server) {
 	}
 	p.items = make([]core.BatchItem, 0, wire.HoldFrames)
 	p.from = make([]origin, 0, wire.HoldFrames)
+	p.reps = make([]packet.Report, wire.HoldFrames)
 	srv.OnData(p.onData)
 	srv.OnBatchEnd(p.drain)
 }
@@ -83,7 +88,7 @@ func (p *Scanner) onData(s *wire.Session, seq uint32, tag uint16, tuple packet.F
 //
 //dpi:hotpath
 func (p *Scanner) hold(s *wire.Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte) int {
-	p.items = append(p.items, core.BatchItem{Tag: tag, Tuple: tuple, Payload: payload})
+	p.items = append(p.items, core.BatchItem{Tag: tag, Tuple: tuple, Payload: payload, Buf: &p.reps[len(p.items)]})
 	p.from = append(p.from, origin{sess: s, seq: seq})
 	return len(p.items)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dpiservice/internal/core"
+	"dpiservice/internal/israce"
 	"dpiservice/internal/netsim"
 	"dpiservice/internal/obs"
 	"dpiservice/internal/packet"
@@ -20,8 +21,9 @@ import (
 
 const (
 	testKey = uint64(0xfeedfacecafebeef)
-	// statefulTag's chain has a stateful member (scanned solo, in stream
-	// order); statelessTag's chain has none (scanned in lanes).
+	// statefulTag's chain has a stateful member (its flows are checked
+	// out to one scan at a time, in stream order); statelessTag's chain
+	// has none.
 	statefulTag  = 1
 	statelessTag = 2
 )
@@ -184,8 +186,8 @@ func serve(t *testing.T, tr wire.Transport, cfg wire.Config, sc *Scanner) counte
 // TestBatchedReportsMatchPerPacket is the differential: over both
 // transports, the results a client gets from the batched handler are
 // byte-equal to per-packet Inspect of the same sequence — on a stateless
-// chain (lane-interleaved), on a stateful chain with patterns split
-// across packets that share a ReadBatch, and on a mix of the two.
+// chain, on a stateful chain with patterns split across packets that
+// share a ReadBatch (and so a lane run), and on a mix of the two.
 func TestBatchedReportsMatchPerPacket(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -245,8 +247,8 @@ func TestBatchedReportsMatchPerPacket(t *testing.T) {
 				}
 
 				// The run really was batched: several frames per ReadBatch,
-				// no more acks than batches, and lane groups above one
-				// packet wherever a stateless chain was in play.
+				// no more acks than batches, and lane runs above one
+				// packet.
 				in, batches, acks := ctr.get("wire.frames_in"), ctr.get("wire.batches_in"), ctr.get("wire.acks_sent")
 				if in < 2*batches {
 					t.Errorf("%d frames in %d batches: nothing shared a ReadBatch", in, batches)
@@ -261,7 +263,7 @@ func TestBatchedReportsMatchPerPacket(t *testing.T) {
 					t.Errorf("core.scan_ns has %d observations for %d packets", scan.Count, len(ps))
 				}
 				if group.Sum != uint64(len(ps)) || group.Count >= group.Sum {
-					t.Errorf("core.batch_group_size: %d groups holding %d packets, want %d packets in fewer groups", group.Count, group.Sum, len(ps))
+					t.Errorf("core.batch_group_size: %d runs holding %d packets, want %d packets in fewer runs", group.Count, group.Sum, len(ps))
 				}
 			})
 		}
@@ -532,5 +534,93 @@ func TestEngineSwapBetweenRuns(t *testing.T) {
 				t.Errorf("engine loaded %d times for two runs", n)
 			}
 		})
+	}
+}
+
+// TestMatchedRunAllocFree drives runs in which every packet matches
+// through the whole server side — receive batch, Scanner.drain, lane
+// scheduler, report hand-over, encode, result frames — over loopback UDP
+// from a hand-rolled client that itself allocates nothing, and counts
+// the process's allocations: none once the reports have grown.
+func TestMatchedRunAllocFree(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops scratches under -race")
+	}
+	var udp *fabric
+	for _, fab := range fabrics(t) {
+		if fab.name == "udp" && fab.preload != nil {
+			udp = &fab
+		}
+	}
+	if udp == nil {
+		t.Skip("no batch syscalls on this platform")
+	}
+	eng := testEngine(t)
+	serve(t, udp.server, quietCfg, &Scanner{Engine: func() *core.Engine { return eng }})
+	tr := udp.client
+	t.Cleanup(func() { tr.Close() })
+
+	const run = 13
+	token := wire.IssueToken(testKey, 1)
+	out := []wire.Datagram{{Buf: make([]byte, 0, wire.MaxDatagram)}}
+	in := make([]wire.Datagram, wire.DefaultBatch)
+	for i := range in {
+		in[i].Buf = make([]byte, 0, wire.MaxDatagram)
+	}
+	data := make([]byte, 0, 256)
+	payload := []byte("an evil malware-body with attack-sig")
+	seq := uint32(1)
+	// exchange sends frames and reads replies until want of them are
+	// TResults (or one is a THelloAck), then acks the last result.
+	exchange := func(want int) {
+		if _, err := tr.WriteBatch(out); err != nil {
+			t.Fatal(err)
+		}
+		var lastResult uint32
+		for got := 0; got < want; {
+			n, err := tr.ReadBatch(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dg := range in[:n] {
+				for buf := dg.Buf; len(buf) > 0; {
+					h, _, rest, err := wire.NextFrame(buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf = rest
+					if h.Type == wire.TResult {
+						lastResult = h.Seq
+						got++
+					} else if h.Type == wire.THelloAck && want == 0 {
+						return
+					}
+				}
+			}
+		}
+		out[0].Buf = wire.AppendFrame(out[0].Buf[:0], wire.Header{Type: wire.TAck, Token: token, Ack: lastResult + 1}, nil)
+		if _, err := tr.WriteBatch(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out[0].Buf = wire.AppendFrame(out[0].Buf[:0], wire.Header{Type: wire.THello, Token: token}, []byte("peer"))
+	exchange(0)
+	oneRun := func() {
+		out[0].Buf = out[0].Buf[:0]
+		for i := 0; i < run; i++ {
+			data = wire.AppendData(data[:0], uint16(statefulTag+i%2), flow(i%4), payload)
+			out[0].Buf = wire.AppendFrame(out[0].Buf, wire.Header{Type: wire.TData, Token: token, Seq: seq, Ack: 1}, data)
+			seq++
+		}
+		exchange(run)
+	}
+	for i := 0; i < 20; i++ {
+		oneRun() // grow the report storage, the encode buffer and the scratches
+	}
+	if allocs := testing.AllocsPerRun(100, oneRun); allocs != 0 {
+		t.Fatalf("a matched run of %d packets allocated %v allocs, want 0", run, allocs)
+	}
+	if got := eng.Snapshot().Reports; got != uint64(121*run) {
+		t.Fatalf("%d reports for %d packets: not every packet matched", got, 121*run)
 	}
 }

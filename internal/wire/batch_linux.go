@@ -51,6 +51,15 @@ type batchIO struct {
 	whs    []mmsghdr
 	wiov   []syscall.Iovec
 	wnames [][sockaddrBufLen]byte
+
+	// The RawConn callbacks are bound once (recv, send) and pass their
+	// arguments and results through these fields: a closure built per
+	// call would capture its locals and cost a heap allocation per
+	// syscall. One reader and one writer, so one set each.
+	recv, send func(fd uintptr) bool
+	rn, wn     int // headers offered to the syscall
+	rgot, wgot int // messages it moved
+	rerr, werr syscall.Errno
 }
 
 // newBatchIO prepares batch state for conn; nil when the raw conn is
@@ -67,6 +76,26 @@ func newBatchIO(conn *net.UDPConn, connected bool) *batchIO {
 	b.whs = make([]mmsghdr, DefaultBatch)
 	b.wiov = make([]syscall.Iovec, DefaultBatch)
 	b.wnames = make([][sockaddrBufLen]byte, DefaultBatch)
+	b.recv = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&b.rhs[0])), uintptr(b.rn),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false // park until readable, then retry
+		}
+		b.rgot, b.rerr = int(r1), e
+		return true
+	}
+	b.send = func(fd uintptr) bool {
+		r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&b.whs[0])), uintptr(b.wn),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false
+		}
+		b.wgot, b.werr = int(r1), e
+		return true
+	}
 	return b
 }
 
@@ -92,24 +121,14 @@ func (b *batchIO) readBatch(dgs []Datagram) (int, error) {
 		h.Flags = 0
 		b.rhs[i].n = 0
 	}
-	var got int
-	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		r1, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.rhs[0])), uintptr(n),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park until readable, then retry
-		}
-		got, errno = int(r1), e
-		return true
-	})
-	if err != nil {
+	b.rn = n
+	if err := b.rc.Read(b.recv); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if b.rerr != 0 {
+		return 0, b.rerr
 	}
+	got := b.rgot
 	for i := 0; i < got; i++ {
 		dgs[i].Buf = dgs[i].Buf[:cap(dgs[i].Buf)][:b.rhs[i].n]
 		dgs[i].Addr = Addr{AP: decodeSockaddr(&b.rnames[i], b.rhs[i].hdr.Namelen)}
@@ -144,24 +163,14 @@ func (b *batchIO) writeBatch(dgs []Datagram) (int, error) {
 			}
 			b.whs[i].n = 0
 		}
-		var wrote int
-		var errno syscall.Errno
-		err := b.rc.Write(func(fd uintptr) bool {
-			r1, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.whs[0])), uintptr(n),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false
-			}
-			wrote, errno = int(r1), e
-			return true
-		})
-		if err != nil {
+		b.wn = n
+		if err := b.rc.Write(b.send); err != nil {
 			return sent, err
 		}
-		if errno != 0 {
-			return sent, errno
+		if b.werr != 0 {
+			return sent, b.werr
 		}
+		wrote := b.wgot
 		if wrote <= 0 {
 			return sent, syscall.EIO
 		}

@@ -330,6 +330,10 @@ func (c *Conn) sendReliable(t Type, flags uint8, tag uint16, tuple packet.FiveTu
 		}
 		seq, err := c.ep.SendEx(t, flags, c.scratch, c.now(), c.emit)
 		if err == ErrWindowFull {
+			// The window reopens on the peer's ack, and the peer acks
+			// what it has received: frames still in the stager would
+			// hold the sender here until the next tick.
+			c.st.flush()
 			c.cond.Wait()
 			continue
 		}

@@ -411,3 +411,88 @@ func TestServerAcksAndFlushesOncePerBatch(t *testing.T) {
 		t.Errorf("OnBatchEnd ran after %v handled frames, want once after %d", atHook, frames)
 	}
 }
+
+// TestConnFlushesBeforeWindowWait pins the sender side of window
+// backpressure: a Conn whose window fills with small frames pushes its
+// partly filled stager out before it sleeps. The tick that would
+// otherwise flush it is set seconds away, so without the flush every
+// window of sends costs a tick.
+func TestConnFlushesBeforeWindowWait(t *testing.T) {
+	ct, st, nw := newNetsimLink(t)
+	srv := echoServer(t, st, nil)
+	slow := Config{RTOBase: 8 * time.Second, JitterSeed: 7} // tick every 2 s, no retransmit in test time
+	c := NewConn(ct, IssueToken(testKey, 1), "tg-1", slow, nil)
+	results := make(chan struct{})
+	const sends = 4 * 256 // four default windows
+	got := 0
+	c.OnResult(func(uint32, []byte) {
+		if got++; got == sends {
+			close(results)
+		}
+	})
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+		nw.Stop()
+	})
+	if err := c.Start(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	payload := make([]byte, 64)
+	for i := 0; i < sends; i++ {
+		if _, err := c.SendData(3, testTuple, payload); err != nil {
+			t.Fatalf("SendData %d: %v", i, err)
+		}
+	}
+	c.Flush()
+	select {
+	case <-results:
+	case <-time.After(20 * time.Second):
+		t.Fatal("results never arrived")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("%d sends through a full window took %v: the sender waited for its 2 s tick", sends, d)
+	}
+}
+
+// TestUDPBatchIOAllocFree checks the mmsg paths build nothing per call:
+// the RawConn callbacks are bound once per socket.
+func TestUDPBatchIOAllocFree(t *testing.T) {
+	srv, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if !srv.Batched() {
+		t.Skip("no batch syscalls on this platform")
+	}
+	cli, err := DialUDP(srv.LocalAddr().AP.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const n = 4
+	out, in := make([]Datagram, n), make([]Datagram, DefaultBatch)
+	for i := range out {
+		out[i].Buf = []byte("sixteen byte dgm")
+	}
+	for i := range in {
+		in[i].Buf = make([]byte, 0, MaxDatagram)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cli.WriteBatch(out); err != nil {
+			t.Fatal(err)
+		}
+		for got := 0; got < n; {
+			k, err := srv.ReadBatch(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += k
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("WriteBatch + ReadBatch allocated %v allocs, want 0", allocs)
+	}
+}
