@@ -555,35 +555,40 @@ func BenchmarkInspectBatch(b *testing.B) {
 
 // BenchmarkScanLanes compares the DFA stage of a run of packets scanned
 // one after another with the same run streamed through the lanes
-// (mpm.ACFull.ScanLanes), on a corpus of ragged lengths cut into runs of
-// 13 packets — what one receive batch hands the wire data plane.
+// (mpm.ACFull.ScanLanes), on two corpora cut into runs of 13 packets —
+// what one receive batch hands the wire data plane: the HTTP mix of
+// ragged lengths, whose walks stay near the root (cache-resident rows),
+// and an attack mix of 1400-byte payloads packed with pattern text,
+// whose walks stay in deep states (a row miss on most bytes).
 func BenchmarkScanLanes(b *testing.B) {
 	set := patterns.SnortLike(2000, benchSeed)
-	corpus := benchCorpus(set, 1<<20)
 	a := buildAC(b, set)
+	attack := traffic.NewGenerator(traffic.Config{
+		Seed: benchSeed + 7, Mix: traffic.AttackMix, InjectPatterns: set.Strings(),
+		MinPayload: 1400, MaxPayload: 1400,
+	}).Corpus(1 << 20)
+	http := benchCorpus(set, 1<<20)
 	emit := func(refs []mpm.PatternRef, end int) {}
-	lanes := make([]mpm.Lane, len(corpus))
-	var total int64
-	for _, p := range corpus {
-		total += int64(len(p))
-	}
 	const run = 13
 	for _, bc := range []struct {
-		name string
-		scan func(run []mpm.Lane)
+		name   string
+		corpus [][]byte
+		scan   func(run []mpm.Lane)
 	}{
-		{"solo", func(run []mpm.Lane) {
-			for i := range run {
-				l := &run[i]
-				l.State = a.Scan(l.Data, l.State, l.Active, l.Emit)
-			}
-		}},
-		{"lanes", a.ScanLanes},
+		{"solo", http, soloLanes(a)},
+		{"lanes", http, a.ScanLanes},
+		{"attack-solo", attack, soloLanes(a)},
+		{"attack-lanes", attack, a.ScanLanes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			lanes := make([]mpm.Lane, len(bc.corpus))
+			var total int64
+			for _, p := range bc.corpus {
+				total += int64(len(p))
+			}
 			b.SetBytes(total)
 			for i := 0; i < b.N; i++ {
-				for j, p := range corpus {
+				for j, p := range bc.corpus {
 					lanes[j] = mpm.Lane{Data: p, State: a.Start(), Active: mpm.AllSets, Emit: emit}
 				}
 				for lo := 0; lo < len(lanes); lo += run {
@@ -591,6 +596,16 @@ func BenchmarkScanLanes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// soloLanes scans a run one lane after another with a.Scan.
+func soloLanes(a *mpm.ACFull) func(run []mpm.Lane) {
+	return func(run []mpm.Lane) {
+		for i := range run {
+			l := &run[i]
+			l.State = a.Scan(l.Data, l.State, l.Active, l.Emit)
+		}
 	}
 }
 

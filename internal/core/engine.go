@@ -660,20 +660,30 @@ func (e *Engine) Snapshot() StatsSnapshot {
 }
 
 // MemoryBytes estimates the engine's data-structure footprint — the
-// quantity Table 2's Space column reports.
+// quantity Table 2's Space column reports: the merged automaton plus the
+// case-fold automaton, when nocase patterns built one.
 func (e *Engine) MemoryBytes() int64 {
-	if e.auto == nil {
-		return 0
+	var bytes int64
+	if e.auto != nil {
+		bytes += e.auto.MemoryBytes()
 	}
-	return e.auto.MemoryBytes()
+	if e.autoFold != nil {
+		bytes += e.autoFold.MemoryBytes()
+	}
+	return bytes
 }
 
-// NumStates reports the merged automaton's state count.
+// NumStates reports the state count of the merged automaton and the
+// case-fold automaton together.
 func (e *Engine) NumStates() int {
-	if e.auto == nil {
-		return 0
+	n := 0
+	if e.auto != nil {
+		n += e.auto.NumStates()
 	}
-	return e.auto.NumStates()
+	if e.autoFold != nil {
+		n += e.autoFold.NumStates()
+	}
+	return n
 }
 
 // NumPatterns reports the merged automaton's pattern count, including

@@ -187,6 +187,10 @@ func TestModule(t *testing.T) {
 		"mpm.ACFull.Scan",
 		"mpm.ACFull.Advance",
 		"mpm.ACFull.ScanLanes",
+		"mpm.scan",
+		"mpm.advance",
+		"mpm.step4",
+		"mpm.step8",
 		"mpm.ACCompact.Scan",
 		"mpm.ACBitmap.Scan",
 	} {

@@ -17,8 +17,7 @@ type ACBitmap struct {
 	edges     []int32
 	fail      []int32
 
-	match        [][]PatternRef
-	setBitmaps   []uint64
+	match        matchTable
 	numAccepting int32
 	numPatterns  int
 	startState   State
@@ -32,15 +31,13 @@ func (b *Builder) BuildBitmap() (*ACBitmap, error) {
 		return nil, err
 	}
 	oldToNew, newToOld, numAccepting := t.renumber()
-	match, setBitmaps := t.matchTable(newToOld, numAccepting)
 
 	n := len(t.children)
 	a := &ACBitmap{
 		bitmaps:      make([]uint64, 4*n),
 		edgeStart:    make([]int32, n+1),
 		fail:         make([]int32, n),
-		match:        match,
-		setBitmaps:   setBitmaps,
+		match:        t.matchTable(newToOld, numAccepting),
 		numAccepting: numAccepting,
 		numPatterns:  len(b.patterns),
 		startState:   oldToNew[0],
@@ -104,8 +101,8 @@ func (a *ACBitmap) Scan(data []byte, state State, active uint64, emit EmitFunc) 
 	acc := a.numAccepting
 	for i := 0; i < len(data); i++ {
 		state = a.step(state, data[i])
-		if state < acc && a.setBitmaps[state]&active != 0 {
-			emit(a.match[state], i+1)
+		if state < acc && a.match.bitmaps[state]&active != 0 {
+			emit(a.match.refsOf(state), i+1)
 		}
 	}
 	return state
@@ -122,10 +119,6 @@ func (a *ACBitmap) NumAccepting() int { return int(a.numAccepting) }
 
 // MemoryBytes implements Automaton.
 func (a *ACBitmap) MemoryBytes() int64 {
-	bytes := int64(len(a.bitmaps))*8 + int64(len(a.edgeStart))*4 + int64(len(a.edges))*4 + int64(len(a.fail))*4
-	bytes += int64(len(a.setBitmaps)) * 8
-	for _, refs := range a.match {
-		bytes += 24 + int64(len(refs))*8
-	}
-	return bytes
+	return int64(len(a.bitmaps))*8 + int64(len(a.edgeStart))*4 + int64(len(a.edges))*4 + int64(len(a.fail))*4 +
+		a.match.memoryBytes()
 }

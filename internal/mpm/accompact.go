@@ -3,7 +3,8 @@ package mpm
 // ACCompact is the failure-link Aho-Corasick automaton: each state keeps
 // only its real goto edges (sorted for binary search) plus an explicit
 // failure pointer. Memory is proportional to the number of edges rather
-// than states×256, at the cost of failure-chain chasing on misses.
+// than states×byte classes, at the cost of failure-chain chasing on
+// misses.
 //
 // The paper's MCA² integration (Section 4.3.1) runs this representation
 // on dedicated instances handling suspected complexity-attack traffic,
@@ -18,8 +19,7 @@ type ACCompact struct {
 	edgeTargets []int32
 	fail        []int32
 
-	match        [][]PatternRef
-	bitmaps      []uint64
+	match        matchTable
 	numAccepting int32
 	numPatterns  int
 	startState   State
@@ -33,14 +33,12 @@ func (b *Builder) BuildCompact() (*ACCompact, error) {
 		return nil, err
 	}
 	oldToNew, newToOld, numAccepting := t.renumber()
-	match, bitmaps := t.matchTable(newToOld, numAccepting)
 
 	n := len(t.children)
 	a := &ACCompact{
 		edgeStart:    make([]int32, n+1),
 		fail:         make([]int32, n),
-		match:        match,
-		bitmaps:      bitmaps,
+		match:        t.matchTable(newToOld, numAccepting),
 		numAccepting: numAccepting,
 		numPatterns:  len(b.patterns),
 		startState:   oldToNew[0],
@@ -110,8 +108,8 @@ func (a *ACCompact) Scan(data []byte, state State, active uint64, emit EmitFunc)
 	acc := a.numAccepting
 	for i := 0; i < len(data); i++ {
 		state = a.step(state, data[i])
-		if state < acc && a.bitmaps[state]&active != 0 {
-			emit(a.match[state], i+1)
+		if state < acc && a.match.bitmaps[state]&active != 0 {
+			emit(a.match.refsOf(state), i+1)
 		}
 	}
 	return state
@@ -128,10 +126,6 @@ func (a *ACCompact) NumAccepting() int { return int(a.numAccepting) }
 
 // MemoryBytes implements Automaton.
 func (a *ACCompact) MemoryBytes() int64 {
-	bytes := int64(len(a.edgeStart))*4 + int64(len(a.edgeLabels)) + int64(len(a.edgeTargets))*4 + int64(len(a.fail))*4
-	bytes += int64(len(a.bitmaps)) * 8
-	for _, refs := range a.match {
-		bytes += 24 + int64(len(refs))*8
-	}
-	return bytes
+	return int64(len(a.edgeStart))*4 + int64(len(a.edgeLabels)) + int64(len(a.edgeTargets))*4 + int64(len(a.fail))*4 +
+		a.match.memoryBytes()
 }

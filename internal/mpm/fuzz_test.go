@@ -147,3 +147,48 @@ func FuzzScanLanes(f *testing.F) {
 		}
 	})
 }
+
+// FuzzACFullEquivalence asserts the transition-table layout's invariant:
+// whatever the patterns' alphabet — and so whatever the byte-class map
+// and row stride — the automaton finds in a payload exactly what the
+// naive matcher finds, whole or cut in two packets with the state
+// carried, and the lanes agree with the solo scan (checkAgainstNaive).
+// Both the patterns and
+// the payload are the fuzzer's: pats is read as length-prefixed strings
+// (1 to 8 bytes, at most 64 of them, dealt to three sets), and the
+// payload is cut at 4 KiB, which bounds the naive matcher's match list.
+func FuzzACFullEquivalence(f *testing.F) {
+	var every []byte // 32 patterns of 8 bytes covering all 256 values: no class 0
+	for c := 0; c < 256; c++ {
+		if c%8 == 0 {
+			every = append(every, 7)
+		}
+		every = append(every, byte(c))
+	}
+	f.Add(every, []byte("\x00\x01\x02\x03\x04\x05\x06\x07\xf8\xf9\xfa\xfb\xfc\xfd\xfe\xff"), uint16(5))
+	f.Add([]byte{0, 'a', 2, 'a', 'a', 'a'}, []byte("aaaaXaaa\x00aa"), uint16(4)) // one byte: class 0 and one more
+	f.Add([]byte{1, 'h', 'e', 2, 's', 'h', 'e', 2, 'h', 'i', 's', 3, 'h', 'e', 'r', 's'}, []byte("ushers and his"), uint16(3))
+	f.Fuzz(func(t *testing.T, pats, data []byte, split uint16) {
+		b := NewBuilder()
+		for n := 0; len(pats) > 1 && n < 64; n++ {
+			l := min(1+int(pats[0]%8), len(pats)-1)
+			if err := b.Add(n%3, n/3, string(pats[1:1+l])); err != nil {
+				t.Fatal(err)
+			}
+			pats = pats[1+l:]
+		}
+		if b.NumPatterns() == 0 {
+			return
+		}
+		data = data[:min(len(data), 4096)]
+		a, err := b.BuildFull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cuts []int
+		if len(data) > 0 {
+			cuts = []int{int(split) % len(data)}
+		}
+		checkAgainstNaive(t, b, a, data, cuts)
+	})
+}

@@ -17,9 +17,9 @@ package mpm
 
 // LaneWidth is how many walks advance in lockstep. Eight against four,
 // measured on the benchmark's four corpora in runs of 13 packets (MB/s
-// of DFA, one core): multi-tenant 610 against 460, attack-dense 150
-// against 112, http-mtu 941 against 897, small-pkt 774 against 736 (the
-// table is in DESIGN.md, "Streaming lanes").
+// of DFA, one core, byte-class rows): multi-tenant 629 against 453,
+// attack-dense 377 against 289, http-mtu 916 against 695, small-pkt 824
+// against 640 (the table is in DESIGN.md, "Transition-table layout").
 const LaneWidth = 8
 
 // Lane is one packet's scan: its payload, the DFA state to resume from,
@@ -79,12 +79,23 @@ func (ls *Lanes) Drop(k int) {
 // so at least one is Done afterwards. Per walk, the emitted matches and
 // the state reached are those of Scan over the same bytes; only the
 // instruction schedule differs. Five to eight walks run in the eight-wide
-// kernel, two to four in the four-wide one, a single walk alone; empty
+// kernel, two to four in the four-wide one, a single walk in scan; empty
 // slots of a kernel shadow slot 0 with every set masked off, which
 // costs no cache line slot 0 does not already fetch.
 //
 //dpi:hotpath
 func (a *ACFull) Advance(ls *Lanes) {
+	if a.next16 != nil {
+		advance(a, a.next16, ls)
+	} else {
+		advance(a, a.next32, ls)
+	}
+}
+
+// advance is Advance over a table of either width.
+//
+//dpi:hotpath
+func advance[S stateID](a *ACFull, next []S, ls *Lanes) {
 	if ls.n == 0 {
 		return
 	}
@@ -96,13 +107,13 @@ func (a *ACFull) Advance(ls *Lanes) {
 	}
 	switch {
 	case ls.n == 1:
-		a.step1(ls, n)
+		ls.s[0] = scan(a, next, ls.d[0][:n], ls.s[0], ls.active[0], ls.emit[0], ls.base[0])
 	case ls.n <= LaneWidth/2:
 		ls.shadow(LaneWidth / 2)
-		a.step4(ls, n)
+		step4(a, next, ls, n)
 	default:
 		ls.shadow(LaneWidth)
-		a.step8(ls, n)
+		step8(a, next, ls, n)
 	}
 	for k := 0; k < ls.n; k++ {
 		ls.d[k] = ls.d[k][n:]
@@ -121,97 +132,81 @@ func (ls *Lanes) shadow(width int) {
 	}
 }
 
-// step1 walks slot 0 alone over its next n bytes.
-//
-//dpi:hotpath
-func (a *ACFull) step1(ls *Lanes, n int) {
-	next := a.next
-	acc := a.numAccepting
-	s0 := ls.s[0]
-	for i, c := range ls.d[0][:n] {
-		s0 = next[int(s0)<<8|int(c)]
-		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
-			ls.emit[0](a.match[s0], ls.base[0]+i+1)
-		}
-	}
-	ls.s[0] = s0
-}
-
 // step4 walks slots 0-3 in lockstep over their next n bytes.
 //
 //dpi:hotpath
-func (a *ACFull) step4(ls *Lanes, n int) {
-	next := a.next
-	acc := a.numAccepting
+func step4[S stateID](a *ACFull, next []S, ls *Lanes, n int) {
+	cls, stride := &a.classOf, uint(a.stride)
+	acc, bitmaps := uint(a.numAccepting), a.match.bitmaps
 	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
-	s0, s1, s2, s3 := ls.s[0], ls.s[1], ls.s[2], ls.s[3]
+	s0, s1, s2, s3 := uint(ls.s[0]), uint(ls.s[1]), uint(ls.s[2]), uint(ls.s[3])
 	for i := 0; i < n; i++ {
-		s0 = next[int(s0)<<8|int(d0[i])]
-		s1 = next[int(s1)<<8|int(d1[i])]
-		s2 = next[int(s2)<<8|int(d2[i])]
-		s3 = next[int(s3)<<8|int(d3[i])]
-		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
-			ls.emit[0](a.match[s0], ls.base[0]+i+1)
+		s0 = uint(next[s0*stride+uint(cls[d0[i]])])
+		s1 = uint(next[s1*stride+uint(cls[d1[i]])])
+		s2 = uint(next[s2*stride+uint(cls[d2[i]])])
+		s3 = uint(next[s3*stride+uint(cls[d3[i]])])
+		if s0 < acc && bitmaps[s0]&ls.active[0] != 0 {
+			ls.emit[0](a.match.refsOf(State(s0)), ls.base[0]+i+1)
 		}
-		if s1 < acc && a.bitmaps[s1]&ls.active[1] != 0 {
-			ls.emit[1](a.match[s1], ls.base[1]+i+1)
+		if s1 < acc && bitmaps[s1]&ls.active[1] != 0 {
+			ls.emit[1](a.match.refsOf(State(s1)), ls.base[1]+i+1)
 		}
-		if s2 < acc && a.bitmaps[s2]&ls.active[2] != 0 {
-			ls.emit[2](a.match[s2], ls.base[2]+i+1)
+		if s2 < acc && bitmaps[s2]&ls.active[2] != 0 {
+			ls.emit[2](a.match.refsOf(State(s2)), ls.base[2]+i+1)
 		}
-		if s3 < acc && a.bitmaps[s3]&ls.active[3] != 0 {
-			ls.emit[3](a.match[s3], ls.base[3]+i+1)
+		if s3 < acc && bitmaps[s3]&ls.active[3] != 0 {
+			ls.emit[3](a.match.refsOf(State(s3)), ls.base[3]+i+1)
 		}
 	}
-	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = s0, s1, s2, s3
+	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = State(s0), State(s1), State(s2), State(s3)
 }
 
 // step8 walks all eight slots in lockstep over their next n bytes.
 //
 //dpi:hotpath
-func (a *ACFull) step8(ls *Lanes, n int) {
-	next := a.next
-	acc := a.numAccepting
+func step8[S stateID](a *ACFull, next []S, ls *Lanes, n int) {
+	cls, stride := &a.classOf, uint(a.stride)
+	acc, bitmaps := uint(a.numAccepting), a.match.bitmaps
 	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
 	d4, d5, d6, d7 := ls.d[4][:n], ls.d[5][:n], ls.d[6][:n], ls.d[7][:n]
-	s0, s1, s2, s3 := ls.s[0], ls.s[1], ls.s[2], ls.s[3]
-	s4, s5, s6, s7 := ls.s[4], ls.s[5], ls.s[6], ls.s[7]
+	s0, s1, s2, s3 := uint(ls.s[0]), uint(ls.s[1]), uint(ls.s[2]), uint(ls.s[3])
+	s4, s5, s6, s7 := uint(ls.s[4]), uint(ls.s[5]), uint(ls.s[6]), uint(ls.s[7])
 	for i := 0; i < n; i++ {
-		s0 = next[int(s0)<<8|int(d0[i])]
-		s1 = next[int(s1)<<8|int(d1[i])]
-		s2 = next[int(s2)<<8|int(d2[i])]
-		s3 = next[int(s3)<<8|int(d3[i])]
-		s4 = next[int(s4)<<8|int(d4[i])]
-		s5 = next[int(s5)<<8|int(d5[i])]
-		s6 = next[int(s6)<<8|int(d6[i])]
-		s7 = next[int(s7)<<8|int(d7[i])]
-		if s0 < acc && a.bitmaps[s0]&ls.active[0] != 0 {
-			ls.emit[0](a.match[s0], ls.base[0]+i+1)
+		s0 = uint(next[s0*stride+uint(cls[d0[i]])])
+		s1 = uint(next[s1*stride+uint(cls[d1[i]])])
+		s2 = uint(next[s2*stride+uint(cls[d2[i]])])
+		s3 = uint(next[s3*stride+uint(cls[d3[i]])])
+		s4 = uint(next[s4*stride+uint(cls[d4[i]])])
+		s5 = uint(next[s5*stride+uint(cls[d5[i]])])
+		s6 = uint(next[s6*stride+uint(cls[d6[i]])])
+		s7 = uint(next[s7*stride+uint(cls[d7[i]])])
+		if s0 < acc && bitmaps[s0]&ls.active[0] != 0 {
+			ls.emit[0](a.match.refsOf(State(s0)), ls.base[0]+i+1)
 		}
-		if s1 < acc && a.bitmaps[s1]&ls.active[1] != 0 {
-			ls.emit[1](a.match[s1], ls.base[1]+i+1)
+		if s1 < acc && bitmaps[s1]&ls.active[1] != 0 {
+			ls.emit[1](a.match.refsOf(State(s1)), ls.base[1]+i+1)
 		}
-		if s2 < acc && a.bitmaps[s2]&ls.active[2] != 0 {
-			ls.emit[2](a.match[s2], ls.base[2]+i+1)
+		if s2 < acc && bitmaps[s2]&ls.active[2] != 0 {
+			ls.emit[2](a.match.refsOf(State(s2)), ls.base[2]+i+1)
 		}
-		if s3 < acc && a.bitmaps[s3]&ls.active[3] != 0 {
-			ls.emit[3](a.match[s3], ls.base[3]+i+1)
+		if s3 < acc && bitmaps[s3]&ls.active[3] != 0 {
+			ls.emit[3](a.match.refsOf(State(s3)), ls.base[3]+i+1)
 		}
-		if s4 < acc && a.bitmaps[s4]&ls.active[4] != 0 {
-			ls.emit[4](a.match[s4], ls.base[4]+i+1)
+		if s4 < acc && bitmaps[s4]&ls.active[4] != 0 {
+			ls.emit[4](a.match.refsOf(State(s4)), ls.base[4]+i+1)
 		}
-		if s5 < acc && a.bitmaps[s5]&ls.active[5] != 0 {
-			ls.emit[5](a.match[s5], ls.base[5]+i+1)
+		if s5 < acc && bitmaps[s5]&ls.active[5] != 0 {
+			ls.emit[5](a.match.refsOf(State(s5)), ls.base[5]+i+1)
 		}
-		if s6 < acc && a.bitmaps[s6]&ls.active[6] != 0 {
-			ls.emit[6](a.match[s6], ls.base[6]+i+1)
+		if s6 < acc && bitmaps[s6]&ls.active[6] != 0 {
+			ls.emit[6](a.match.refsOf(State(s6)), ls.base[6]+i+1)
 		}
-		if s7 < acc && a.bitmaps[s7]&ls.active[7] != 0 {
-			ls.emit[7](a.match[s7], ls.base[7]+i+1)
+		if s7 < acc && bitmaps[s7]&ls.active[7] != 0 {
+			ls.emit[7](a.match.refsOf(State(s7)), ls.base[7]+i+1)
 		}
 	}
-	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = s0, s1, s2, s3
-	ls.s[4], ls.s[5], ls.s[6], ls.s[7] = s4, s5, s6, s7
+	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = State(s0), State(s1), State(s2), State(s3)
+	ls.s[4], ls.s[5], ls.s[6], ls.s[7] = State(s4), State(s5), State(s6), State(s7)
 }
 
 // ScanLanes scans every lane to completion, streaming them through the

@@ -9,11 +9,13 @@
 //     carries a per-middlebox bitmap for one-instruction relevance
 //     filtering, and a direct-access match table maps accepting states to
 //     their (set, pattern) pairs, including pairs inherited from patterns
-//     that are suffixes of others.
+//     that are suffixes of others. A transition row has one entry per
+//     byte class (the bytes some pattern contains, plus one class for
+//     all the rest) and entries are uint16 while the state ids fit.
 //
 //   - ACCompact: the same automaton with sorted-edge nodes and explicit
-//     failure links instead of 256-entry rows. It trades roughly an order
-//     of magnitude of memory for extra work per byte and is the
+//     failure links instead of complete rows. It trades memory (an order
+//     of magnitude over a binary alphabet) for extra work per byte and is the
 //     representation MCA² dedicated instances use for heavy traffic
 //     (Section 4.3.1, following the space-time tradeoff of the authors'
 //     earlier work).

@@ -161,8 +161,8 @@ func TestAcceptingStatesAreDense(t *testing.T) {
 	}
 	// Every emit during any scan must present a state whose match refs
 	// are non-empty, and the match table must be exactly f entries.
-	if len(a.match) != a.NumAccepting() {
-		t.Errorf("match table has %d entries, f = %d", len(a.match), a.NumAccepting())
+	if len(a.match.bitmaps) != a.NumAccepting() || len(a.match.off) != a.NumAccepting()+1 {
+		t.Errorf("match table has %d bitmaps and %d offsets, f = %d", len(a.match.bitmaps), len(a.match.off), a.NumAccepting())
 	}
 	for s := 0; s < a.NumAccepting(); s++ {
 		if len(a.MatchRefs(State(s))) == 0 {
@@ -416,7 +416,9 @@ func TestDuplicatePatternSharedState(t *testing.T) {
 func TestCompactMemorySmallerThanFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := NewBuilder()
-	if err := b.AddSet(0, randomPatterns(rng, 500, 8, 24, 26)); err != nil {
+	// A binary alphabet: over a narrow one the full table's rows are
+	// short too (one entry per byte class).
+	if err := b.AddSet(0, randomPatterns(rng, 500, 8, 24, 256)); err != nil {
 		t.Fatal(err)
 	}
 	full, err := b.BuildFull()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // This file serializes the full-table automaton. Building the merged
@@ -15,11 +16,19 @@ import (
 // the snapshot.
 
 const (
-	snapMagic   = 0x44504941 // "DPIA"
-	snapVersion = 1
+	snapMagic = 0x44504941 // "DPIA"
+	// Version 2 stores the table as ACFull holds it: the byte-class map,
+	// then rows of stride entries at the entry width. Version 1 (256
+	// int32 entries per row) is not read.
+	snapVersion = 2
 
 	pfSnapMagic   = 0x44504950 // "DPIP"
 	pfSnapVersion = 1
+
+	// snapChunk is how many integers move per read or write.
+	snapChunk = 4096
+	// snapMaxStates bounds the header's state count; more is corrupt.
+	snapMaxStates = 1 << 28
 )
 
 // Snapshot errors.
@@ -28,163 +37,170 @@ var (
 	ErrSnapshotVersion = errors.New("mpm: unsupported snapshot version")
 )
 
-// WriteTo serializes the automaton.
-func (a *ACFull) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		_, err := cw.Write(b[:])
-		return err
-	}
-	if err := bw(snapMagic); err != nil {
-		return cw.n, err
-	}
-	if err := bw(snapVersion); err != nil {
-		return cw.n, err
-	}
-	for _, v := range []uint32{
-		uint32(a.numStates), uint32(a.numAccepting),
-		uint32(a.startState), uint32(a.numPatterns),
-	} {
-		if err := bw(v); err != nil {
-			return cw.n, err
+// snapInt is an integer a snapshot stores, little-endian at its own
+// width.
+type snapInt interface{ uint16 | uint32 | uint64 }
+
+func writeInts[T snapInt](w io.Writer, vs []T) error {
+	for len(vs) > 0 {
+		n := min(len(vs), snapChunk)
+		if err := binary.Write(w, binary.LittleEndian, vs[:n]); err != nil {
+			return err
 		}
+		vs = vs[n:]
 	}
-	// Transition table.
-	buf := make([]byte, 4*4096)
-	for off := 0; off < len(a.next); {
-		chunk := len(a.next) - off
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		for i := 0; i < chunk; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(a.next[off+i]))
-		}
-		if _, err := cw.Write(buf[:chunk*4]); err != nil {
-			return cw.n, err
-		}
-		off += chunk
-	}
-	// Accepting-state bitmaps.
-	var b8 [8]byte
-	for _, bm := range a.bitmaps {
-		binary.LittleEndian.PutUint64(b8[:], bm)
-		if _, err := cw.Write(b8[:]); err != nil {
-			return cw.n, err
-		}
-	}
-	// Match table.
-	for _, refs := range a.match {
-		if err := bw(uint32(len(refs))); err != nil {
-			return cw.n, err
-		}
-		for _, r := range refs {
-			var rb [8]byte
-			rb[0] = r.Set
-			binary.LittleEndian.PutUint16(rb[2:4], r.ID)
-			binary.LittleEndian.PutUint16(rb[4:6], r.Len)
-			if _, err := cw.Write(rb[:]); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-	return cw.n, nil
+	return nil
 }
 
-// ReadACFull deserializes a snapshot written by WriteTo.
-func ReadACFull(r io.Reader) (*ACFull, error) {
-	br := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+// readInts reads n integers, none above max. The result doubles as the
+// integers arrive (and ends at exactly n), so a header that overstates n
+// costs no more than twice the memory of the bytes that actually follow
+// it.
+func readInts[T snapInt](r io.Reader, n int, max uint64) ([]T, error) {
+	var (
+		out  []T
+		size = binary.Size(T(0))
+		buf  = make([]byte, min(n, snapChunk)*size)
+	)
+	for len(out) < n {
+		if len(out) == cap(out) {
+			grown := make([]T, len(out), min(n, 2*cap(out)+snapChunk))
+			copy(grown, out)
+			out = grown
 		}
-		return binary.LittleEndian.Uint32(b[:]), nil
+		k := min(cap(out)-len(out), snapChunk)
+		if _, err := io.ReadFull(r, buf[:k*size]); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		}
+		out = out[:len(out)+k]
+		for i, at := len(out)-k, 0; i < len(out); i, at = i+1, at+size {
+			var v uint64
+			switch size {
+			case 2:
+				v = uint64(binary.LittleEndian.Uint16(buf[at:]))
+			case 4:
+				v = uint64(binary.LittleEndian.Uint32(buf[at:]))
+			default:
+				v = binary.LittleEndian.Uint64(buf[at:])
+			}
+			if v > max {
+				return nil, ErrBadSnapshot
+			}
+			out[i] = T(v)
+		}
 	}
-	magic, err := br()
+	return out, nil
+}
+
+// WriteTo serializes the automaton: eight uint32 header words (magic,
+// version, states, accepting states, start state, patterns, row stride,
+// entry width in bytes), the 256-byte class map, the rows, the
+// match-table offsets and the refs as (set, id, length) uint16 triples.
+// The per-state set bitmaps are derived from the refs on load.
+func (a *ACFull) WriteTo(w io.Writer) (int64, error) {
+	cw := &countWriter{w: w}
+	width := 2
+	if a.next32 != nil {
+		width = 4
+	}
+	err := writeInts(cw, []uint32{
+		snapMagic, snapVersion,
+		uint32(a.numStates), uint32(a.numAccepting), uint32(a.startState), uint32(a.numPatterns),
+		uint32(a.stride), uint32(width),
+	})
+	if err == nil {
+		_, err = cw.Write(a.classOf[:])
+	}
+	if err == nil {
+		err = writeInts(cw, a.next16)
+	}
+	if err == nil {
+		err = writeInts(cw, a.next32)
+	}
+	if err == nil {
+		err = writeInts(cw, a.match.off)
+	}
+	if err == nil {
+		triples := make([]uint16, 0, 3*len(a.match.refs))
+		for _, r := range a.match.refs {
+			triples = append(triples, uint16(r.Set), r.ID, r.Len)
+		}
+		err = writeInts(cw, triples)
+	}
+	return cw.n, err
+}
+
+// ReadACFull deserializes a snapshot written by WriteTo. Every field is
+// validated before it can index anything, and nothing is allocated on
+// the header's word alone.
+func ReadACFull(r io.Reader) (*ACFull, error) {
+	hdr, err := readInts[uint32](r, 8, math.MaxUint32)
 	if err != nil {
 		return nil, err
 	}
-	if magic != snapMagic {
+	if hdr[0] != snapMagic {
 		return nil, ErrBadSnapshot
 	}
-	ver, err := br()
-	if err != nil {
-		return nil, err
-	}
-	if ver != snapVersion {
+	if hdr[1] != snapVersion {
 		return nil, ErrSnapshotVersion
 	}
-	var hdr [4]uint32
-	for i := range hdr {
-		if hdr[i], err = br(); err != nil {
-			return nil, err
-		}
+	numStates, numAccepting, stride, width := int(hdr[2]), int(hdr[3]), int(hdr[6]), 2
+	if numStates > maxNarrowStates {
+		width = 4
 	}
-	numStates := int(hdr[0])
-	const maxStates = 1 << 28 // 256M states ≈ 256 GB table: clearly corrupt
-	if numStates <= 0 || numStates > maxStates {
+	if numStates <= 0 || numStates > snapMaxStates || numAccepting > numStates || int(hdr[4]) >= numStates ||
+		stride < 1 || stride > 256 || int(hdr[7]) != width {
 		return nil, ErrBadSnapshot
 	}
 	a := &ACFull{
+		stride:       stride,
+		numAccepting: int32(numAccepting),
 		numStates:    numStates,
-		numAccepting: int32(hdr[1]),
-		startState:   State(hdr[2]),
-		numPatterns:  int(hdr[3]),
+		numPatterns:  int(hdr[5]),
+		startState:   State(hdr[4]),
 	}
-	if a.numAccepting < 0 || int(a.numAccepting) > numStates || int(a.startState) >= numStates {
-		return nil, ErrBadSnapshot
+	if _, err := io.ReadFull(r, a.classOf[:]); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	a.next = make([]int32, numStates*256)
-	buf := make([]byte, 4*4096)
-	for off := 0; off < len(a.next); {
-		chunk := len(a.next) - off
-		if chunk > 4096 {
-			chunk = 4096
-		}
-		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		for i := 0; i < chunk; i++ {
-			s := int32(binary.LittleEndian.Uint32(buf[i*4:]))
-			if s < 0 || int(s) >= numStates {
-				return nil, ErrBadSnapshot
-			}
-			a.next[off+i] = s
-		}
-		off += chunk
-	}
-	a.bitmaps = make([]uint64, a.numAccepting)
-	var b8 [8]byte
-	for i := range a.bitmaps {
-		if _, err := io.ReadFull(r, b8[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		a.bitmaps[i] = binary.LittleEndian.Uint64(b8[:])
-	}
-	a.match = make([][]PatternRef, a.numAccepting)
-	for i := range a.match {
-		n, err := br()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 || n > uint32(a.numPatterns)+1 {
+	for _, c := range a.classOf {
+		if int(c) >= stride {
 			return nil, ErrBadSnapshot
 		}
-		refs := make([]PatternRef, n)
-		for j := range refs {
-			var rb [8]byte
-			if _, err := io.ReadFull(r, rb[:]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			refs[j] = PatternRef{
-				Set: rb[0],
-				ID:  binary.LittleEndian.Uint16(rb[2:4]),
-				Len: binary.LittleEndian.Uint16(rb[4:6]),
-			}
-		}
-		a.match[i] = refs
 	}
+	if width == 2 {
+		a.next16, err = readInts[uint16](r, numStates*stride, uint64(numStates-1))
+	} else {
+		a.next32, err = readInts[uint32](r, numStates*stride, uint64(numStates-1))
+	}
+	if err != nil {
+		return nil, err
+	}
+	m := &a.match
+	if m.off, err = readInts[uint32](r, numAccepting+1, math.MaxUint32); err != nil {
+		return nil, err
+	}
+	// Every accepting state has at least one ref.
+	if m.off[0] != 0 {
+		return nil, ErrBadSnapshot
+	}
+	for s := 0; s < numAccepting; s++ {
+		if m.off[s+1] <= m.off[s] {
+			return nil, ErrBadSnapshot
+		}
+	}
+	triples, err := readInts[uint16](r, 3*int(m.off[numAccepting]), math.MaxUint16)
+	if err != nil {
+		return nil, err
+	}
+	m.refs = make([]PatternRef, len(triples)/3)
+	for i := range m.refs {
+		set, id := triples[3*i], triples[3*i+1]
+		if set >= MaxSets || id >= MaxPatternsPerSet {
+			return nil, ErrBadSnapshot
+		}
+		m.refs[i] = PatternRef{Set: uint8(set), ID: id, Len: triples[3*i+2]}
+	}
+	m.fillBitmaps()
 	return a, nil
 }
 
@@ -193,51 +209,25 @@ func ReadACFull(r io.Reader) (*ACFull, error) {
 // offsets are compile-time introspection only and are not serialized.
 func (p *PrefilteredAC) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
-	bw := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		_, err := cw.Write(b[:])
-		return err
-	}
 	fallback := uint32(0)
 	if p.fallback {
 		fallback = 1
 	}
-	for _, v := range []uint32{
+	err := writeInts(cw, []uint32{
 		pfSnapMagic, pfSnapVersion, fallback, uint32(p.stride),
 		pfHashBits, uint32(p.minLen), uint32(p.maxLen), uint32(p.grams),
-	} {
-		if err := bw(v); err != nil {
-			return cw.n, err
+	})
+	if err == nil && !p.fallback {
+		if err = writeInts(cw, p.table); err == nil {
+			err = writeInts(cw, p.back)
+		}
+		if err == nil {
+			err = writeInts(cw, p.fwd)
 		}
 	}
-	if !p.fallback {
-		var b8 [8]byte
-		for _, word := range p.table {
-			binary.LittleEndian.PutUint64(b8[:], word)
-			if _, err := cw.Write(b8[:]); err != nil {
-				return cw.n, err
-			}
-		}
-		for _, arr := range [][]uint16{p.back, p.fwd} {
-			buf := make([]byte, 2*4096)
-			for off := 0; off < len(arr); {
-				chunk := len(arr) - off
-				if chunk > 4096 {
-					chunk = 4096
-				}
-				for i := 0; i < chunk; i++ {
-					binary.LittleEndian.PutUint16(buf[i*2:], arr[off+i])
-				}
-				if _, err := cw.Write(buf[:chunk*2]); err != nil {
-					return cw.n, err
-				}
-				off += chunk
-			}
-		}
+	if err == nil {
+		_, err = p.ac.WriteTo(cw) // counted through cw
 	}
-	n, err := p.ac.WriteTo(cw)
-	_ = n // already counted through cw
 	return cw.n, err
 }
 
@@ -245,33 +235,17 @@ func (p *PrefilteredAC) WriteTo(w io.Writer) (int64, error) {
 // (*PrefilteredAC).WriteTo. The restored matcher scans identically to
 // the original; WindowOffsets is not restored.
 func ReadPrefiltered(r io.Reader) (*PrefilteredAC, error) {
-	br := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	magic, err := br()
+	hdr, err := readInts[uint32](r, 8, math.MaxUint32)
 	if err != nil {
 		return nil, err
 	}
-	if magic != pfSnapMagic {
+	if hdr[0] != pfSnapMagic {
 		return nil, ErrBadSnapshot
 	}
-	ver, err := br()
-	if err != nil {
-		return nil, err
-	}
-	if ver != pfSnapVersion {
+	if hdr[1] != pfSnapVersion {
 		return nil, ErrSnapshotVersion
 	}
-	var hdr [6]uint32
-	for i := range hdr {
-		if hdr[i], err = br(); err != nil {
-			return nil, err
-		}
-	}
+	hdr = hdr[2:]
 	fallback, stride := hdr[0] == 1, int(hdr[1])
 	p := &PrefilteredAC{
 		fallback: fallback,
@@ -297,36 +271,14 @@ func ReadPrefiltered(r io.Reader) (*PrefilteredAC, error) {
 		if p.grams > pfMaxFlagged {
 			return nil, ErrBadSnapshot
 		}
-		p.table = make([]uint64, pfTableWords)
-		var b8 [8]byte
-		for i := range p.table {
-			if _, err := io.ReadFull(r, b8[:]); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-			}
-			p.table[i] = binary.LittleEndian.Uint64(b8[:])
+		if p.table, err = readInts[uint64](r, pfTableWords, math.MaxUint64); err != nil {
+			return nil, err
 		}
-		p.back = make([]uint16, pfBuckets)
-		p.fwd = make([]uint16, pfBuckets)
-		buf := make([]byte, 2*4096)
-		for _, arr := range [][]uint16{p.back, p.fwd} {
-			for off := 0; off < len(arr); {
-				chunk := len(arr) - off
-				if chunk > 4096 {
-					chunk = 4096
-				}
-				if _, err := io.ReadFull(r, buf[:chunk*2]); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-				}
-				for i := 0; i < chunk; i++ {
-					arr[off+i] = binary.LittleEndian.Uint16(buf[i*2:])
-				}
-				off += chunk
-			}
+		if p.back, err = readInts[uint16](r, pfBuckets, uint64(p.maxLen-1)); err != nil {
+			return nil, err
 		}
-		for i := range p.back {
-			if int(p.back[i]) >= p.maxLen || int(p.fwd[i]) > p.maxLen {
-				return nil, ErrBadSnapshot
-			}
+		if p.fwd, err = readInts[uint16](r, pfBuckets, uint64(p.maxLen)); err != nil {
+			return nil, err
 		}
 		p.bailDiv = 2 * p.maxLen
 	}

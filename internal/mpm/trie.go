@@ -110,17 +110,21 @@ func (b *Builder) buildTrie() (*trie, error) {
 	// target's outputs into each state so suffix patterns are reported.
 	t.bfs = make([]int32, 0, len(t.children))
 	t.bfs = append(t.bfs, 0)
+	var edges [256]int32 // the state's children by label; 0 (the root) is no child
 	for head := 0; head < len(t.bfs); head++ {
 		s := t.bfs[head]
 		// Iterate edges in byte order, not map order, so the BFS order —
 		// and therefore state numbering — is identical across builds.
 		// Deterministic numbering lets snapshots and golden tests compare
 		// automata built independently from the same pattern list.
-		for c := 0; c < 256; c++ {
-			child, ok := t.children[s][byte(c)]
-			if !ok {
+		for c, child := range t.children[s] {
+			edges[c] = child
+		}
+		for c, child := range edges {
+			if child == 0 {
 				continue
 			}
+			edges[c] = 0
 			t.bfs = append(t.bfs, child)
 			if s == 0 {
 				t.fail[child] = 0
@@ -188,19 +192,57 @@ func (t *trie) renumber() (oldToNew, newToOld []int32, numAccepting int32) {
 	return oldToNew, newToOld, numAccepting
 }
 
+// matchTable is the accepting-state side table, indexed by new state
+// ID: the bitmap of sets with a pattern ending in the state, and the
+// state's (set, pattern) refs. The refs of all states sit in one array
+// in state order, so a match costs an offset pair and a contiguous read
+// rather than a slice header per state pointing into the trie's
+// scattered allocations.
+type matchTable struct {
+	bitmaps []uint64
+	off     []uint32 // state s owns refs[off[s]:off[s+1]]
+	refs    []PatternRef
+}
+
 // matchTable builds the direct-access match table and per-state
-// middlebox bitmaps for the accepting states, indexed by new state ID.
-func (t *trie) matchTable(newToOld []int32, numAccepting int32) (match [][]PatternRef, bitmaps []uint64) {
-	match = make([][]PatternRef, numAccepting)
-	bitmaps = make([]uint64, numAccepting)
-	for newID := int32(0); newID < numAccepting; newID++ {
-		refs := t.out[newToOld[newID]]
-		match[newID] = refs
-		var bm uint64
-		for _, r := range refs {
-			bm |= 1 << uint(r.Set)
-		}
-		bitmaps[newID] = bm
+// middlebox bitmaps for the accepting states.
+func (t *trie) matchTable(newToOld []int32, numAccepting int32) matchTable {
+	m := matchTable{off: make([]uint32, numAccepting+1)}
+	total := 0
+	for _, old := range newToOld[:numAccepting] {
+		total += len(t.out[old])
 	}
-	return match, bitmaps
+	m.refs = make([]PatternRef, 0, total)
+	for newID, old := range newToOld[:numAccepting] {
+		m.refs = append(m.refs, t.out[old]...)
+		m.off[newID+1] = uint32(len(m.refs))
+	}
+	m.fillBitmaps()
+	return m
+}
+
+// fillBitmaps derives each state's set bitmap from its refs.
+func (m *matchTable) fillBitmaps() {
+	m.bitmaps = make([]uint64, len(m.off)-1)
+	for s := range m.bitmaps {
+		for _, r := range m.refs[m.off[s]:m.off[s+1]] {
+			m.bitmaps[s] |= 1 << r.Set
+		}
+	}
+}
+
+// refsOf returns accepting state s's refs. The capacity is clipped so an
+// append by the receiver cannot reach the next state's.
+//
+//dpi:hotpath
+func (m *matchTable) refsOf(s State) []PatternRef {
+	lo, hi := m.off[s], m.off[s+1]
+	return m.refs[lo:hi:hi]
+}
+
+// patternRefBytes is the in-memory size of a PatternRef.
+const patternRefBytes = 6
+
+func (m *matchTable) memoryBytes() int64 {
+	return int64(len(m.bitmaps))*8 + int64(len(m.off))*4 + int64(len(m.refs))*patternRefBytes
 }
