@@ -47,12 +47,13 @@ func startWire(listen, verdicts, id string, init ctlproto.InstanceInit, eng *ato
 			tr.Close()
 			return nil, fmt.Errorf("verdict consumer %s: %w", verdicts, err)
 		}
-		log.Printf("dpinstance %s: forwarding verdicts to %s", id, verdicts)
+		log.Printf("dpinstance %s: forwarding verdicts to %s (datagram budget %d)", id, verdicts, vc.Budget())
 	}
 
 	(&pipeline.Scanner{Engine: eng.Load, Verdicts: vc, Tracer: tracer, Logf: log.Printf}).Attach(srv)
 	srv.Start()
-	log.Printf("dpinstance %s: wire data plane on %s", id, srv.LocalAddr().String())
+	rcv, snd := tr.SocketBuffers()
+	log.Printf("dpinstance %s: wire data plane on %s (rcvbuf %d, sndbuf %d)", id, srv.LocalAddr().String(), rcv, snd)
 
 	return func() {
 		srv.Close()

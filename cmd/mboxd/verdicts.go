@@ -63,7 +63,8 @@ func serveVerdicts(id, listen, debugAddr string, key uint64) error {
 	})
 	srv.Start()
 	defer srv.Close()
-	log.Printf("mboxd %s: verdict consumer on %s", id, srv.LocalAddr().String())
+	rcv, snd := tr.SocketBuffers()
+	log.Printf("mboxd %s: verdict consumer on %s (rcvbuf %d, sndbuf %d)", id, srv.LocalAddr().String(), rcv, snd)
 
 	if debugAddr != "" {
 		mux := obs.NewDebugMux(reg, obs.Health{

@@ -69,6 +69,8 @@ func driveWire(target, peer string, token uint64, tag uint16, corpus [][]byte, n
 		return fmt.Errorf("wire handshake with %s: %w", target, err)
 	}
 	defer conn.Close()
+	rcv, snd := tr.SocketBuffers()
+	log.Printf("trafficgen: wire session with %s (datagram budget %d, rcvbuf %d, sndbuf %d)", target, conn.Budget(), rcv, snd)
 
 	tuples := make([]packet.FiveTuple, nFlows)
 	for i := range tuples {

@@ -29,6 +29,12 @@ type Fault struct {
 	ExtraLatency time.Duration
 	// Partition drops every frame, as a severed cable would.
 	Partition bool
+	// MaxSize, when positive, drops every frame longer than this many
+	// bytes and lets the rest through: a path-MTU black hole (a hop that
+	// neither fragments nor reports). It draws nothing from the chaos
+	// RNG, so adding it to a fault leaves the seeded schedule of the
+	// frames that pass unchanged.
+	MaxSize int
 }
 
 // ChaosStats counts the layer's interventions.
@@ -37,6 +43,7 @@ type ChaosStats struct {
 	Duplicated uint64 // extra copies delivered
 	Delayed    uint64 // frames held back by ExtraLatency
 	Reordered  uint64 // frames swapped with their successor
+	Oversize   uint64 // frames discarded for exceeding a fault's MaxSize
 }
 
 // chaosState lives inside Network, zero-valued until a fault is
@@ -113,10 +120,10 @@ func (n *Network) ChaosStats() ChaosStats {
 	return n.chaos.stats
 }
 
-// chaosVerdict decides one delivery: drop it, duplicate it, hold it
-// back behind its successor, and/or delay it. Called from link
-// goroutines.
-func (n *Network) chaosVerdict(src, dst string) (drop, dup, reorder bool, delay time.Duration) {
+// chaosVerdict decides one delivery of a size-byte frame: drop it,
+// duplicate it, hold it back behind its successor, and/or delay it.
+// Called from link goroutines.
+func (n *Network) chaosVerdict(src, dst string, size int) (drop, dup, reorder bool, delay time.Duration) {
 	c := &n.chaos
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -130,6 +137,10 @@ func (n *Network) chaosVerdict(src, dst string) (drop, dup, reorder bool, delay 
 	}
 	if f.Partition {
 		c.stats.Dropped++
+		return true, false, false, 0
+	}
+	if f.MaxSize > 0 && size > f.MaxSize {
+		c.stats.Oversize++
 		return true, false, false, 0
 	}
 	if c.rng == nil {

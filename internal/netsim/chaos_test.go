@@ -86,6 +86,36 @@ func TestChaosDropProbDeterministic(t *testing.T) {
 	}
 }
 
+// A MaxSize fault is a black hole for long frames only, and spends no
+// RNG draws on them: the frames that fit meet the same seeded drop
+// schedule whether or not long ones are interleaved.
+func TestChaosMaxSizeBlackHole(t *testing.T) {
+	run := func(interleave bool) (delivered int, s ChaosStats) {
+		n, a, b := chaosPair(t)
+		n.SetChaosSeed(42)
+		n.SetLinkFault("a", "b", Fault{DropProb: 0.3, MaxSize: 100})
+		for i := 0; i < 50; i++ {
+			if interleave {
+				a.Send(make([]byte, 101))
+			}
+			a.Send(make([]byte, 100))
+		}
+		n.Flush(time.Second)
+		return countFrames(b, 20*time.Millisecond), n.ChaosStats()
+	}
+	plain, ps := run(false)
+	mixed, ms := run(true)
+	if ps.Oversize != 0 || ms.Oversize != 50 {
+		t.Errorf("oversize = %d without long frames, %d with 50; want 0 and 50", ps.Oversize, ms.Oversize)
+	}
+	if plain != mixed || ps.Dropped != ms.Dropped {
+		t.Errorf("frames that fit: %d delivered/%d dropped alone, %d/%d next to long frames", plain, ps.Dropped, mixed, ms.Dropped)
+	}
+	if plain == 0 || plain == 50 {
+		t.Errorf("drop prob 0.3 delivered %d/50", plain)
+	}
+}
+
 func TestChaosDuplication(t *testing.T) {
 	n, a, b := chaosPair(t)
 	n.SetChaosSeed(7)

@@ -172,7 +172,7 @@ func (n *Network) startDirection(src, dst Node, opts LinkOpts) {
 					time.Sleep(time.Duration(int64(len(frame)) * 8 * int64(time.Second) / opts.RateBps))
 				}
 				if n.chaosActive() {
-					drop, dup, reorder, delay := n.chaosVerdict(srcName, dstName)
+					drop, dup, reorder, delay := n.chaosVerdict(srcName, dstName, len(frame))
 					if drop {
 						continue
 					}

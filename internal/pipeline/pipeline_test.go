@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,6 +279,8 @@ type peer struct {
 	token uint64
 	seq   uint32 // next reliable seq
 	dgs   []wire.Datagram
+	pack  int   // datagram size frames are packed up to
+	count []int // frames in each of dgs
 
 	frames  chan reply
 	results map[uint32][]byte // data seq -> report
@@ -290,7 +293,7 @@ type reply struct {
 }
 
 func newPeer(t *testing.T, tr wire.Transport) *peer {
-	p := &peer{t: t, tr: tr, token: wire.IssueToken(testKey, 1), seq: 1, frames: make(chan reply, 1024), results: make(map[uint32][]byte)}
+	p := &peer{t: t, tr: tr, token: wire.IssueToken(testKey, 1), seq: 1, pack: packMTU, frames: make(chan reply, 1024), results: make(map[uint32][]byte)}
 	p.frame(wire.Header{Type: wire.THello, Token: p.token}, []byte("peer"))
 	go func() { // ends when the transport is closed
 		dgs := make([]wire.Datagram, wire.DefaultBatch)
@@ -320,13 +323,23 @@ func newPeer(t *testing.T, tr wire.Transport) *peer {
 	return p
 }
 
-// frame packs one frame, opening a new datagram at 1400 bytes.
+// The two ways a peer packs its datagrams: to an Ethernet-sized path,
+// and to the largest datagram the wire carries (a loopback or jumbo
+// path), where one datagram holds more small frames than HoldFrames.
+const (
+	packMTU = 1400
+	packMax = wire.MaxDatagram
+)
+
+// frame packs one frame, opening a new datagram at p.pack bytes.
 func (p *peer) frame(h wire.Header, payload []byte) {
-	if n := len(p.dgs); n == 0 || len(p.dgs[n-1].Buf)+wire.HeaderLen+len(payload) > 1400 {
+	if n := len(p.dgs); n == 0 || len(p.dgs[n-1].Buf)+wire.HeaderLen+len(payload) > p.pack {
 		p.dgs = append(p.dgs, wire.Datagram{})
+		p.count = append(p.count, 0)
 	}
 	last := &p.dgs[len(p.dgs)-1]
 	last.Buf = wire.AppendFrame(last.Buf, h, payload)
+	p.count[len(p.count)-1]++
 }
 
 // data packs one TData frame and returns its seq.
@@ -373,15 +386,18 @@ func (p *peer) collect(n int) {
 	}
 }
 
-// oneBatch preloads the packets as the server's first ReadBatch, serves
-// them with sc, and returns each packet's report next to the wire and
-// engine counters as they stood when the last result arrived.
-func oneBatch(t *testing.T, fab fabric, sc *Scanner, ps []pkt) ([][]byte, counters) {
+// oneBatch preloads the packets, packed into datagrams of up to pack
+// bytes, as the server's first ReadBatch, serves them with sc, and
+// returns each packet's report next to the wire and engine counters as
+// they stood when the last result arrived, and the most frames any one
+// datagram carried.
+func oneBatch(t *testing.T, fab fabric, sc *Scanner, ps []pkt, pack int) ([][]byte, counters, int) {
 	t.Helper()
 	if fab.preload == nil {
 		t.Skip("transport reads one datagram per ReadBatch on this platform")
 	}
 	p := newPeer(t, fab.client)
+	p.pack = pack
 	seqs := make([]uint32, len(ps))
 	for i, k := range ps {
 		seqs[i] = p.data(k)
@@ -396,7 +412,7 @@ func oneBatch(t *testing.T, fab fabric, sc *Scanner, ps []pkt) ([][]byte, counte
 	for i, seq := range seqs {
 		got[i] = p.results[seq]
 	}
-	return got, ctr
+	return got, ctr, slices.Max(p.count)
 }
 
 func b2i(b bool) int {
@@ -418,23 +434,31 @@ func checkReports(t *testing.T, ps []pkt, got, want [][]byte) {
 // More frames than the reorder window has slots, all in one ReadBatch:
 // frame seq+256 rewrites the slot seq's payload was delivered from, so
 // every result must have been computed before the scanner had held
-// wire.HoldFrames frames.
+// wire.HoldFrames frames. Packed to the largest datagram, a single
+// datagram carries more frames than that: the scanner drains in the
+// middle of it, which is safe because the payloads it holds alias
+// reorder-window slots, never the datagram buffer.
 func TestWindowOverrunInOneBatch(t *testing.T) {
-	for _, fab := range fabrics(t) {
-		t.Run(fab.name, func(t *testing.T) {
-			ps := make([]pkt, 300)
-			for i := range ps {
-				// The match position moves with i: no two neighbours share a report.
-				ps[i] = pkt{tag: statelessTag, tuple: flow(i % 4), payload: []byte(fmt.Sprintf("%*sevil %03d", 1+i%40, "", i))}
-			}
-			want := reference(t, testEngine(t), ps)
-			eng := testEngine(t)
-			got, ctr := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine { return eng }}, ps)
-			checkReports(t, ps, got, want)
-			if over := ctr.get("wire.reorder_overflow_drops"); over != 0 {
-				t.Errorf("%d frames dropped beyond the reorder window, want all 300 accepted in order", over)
-			}
-		})
+	for _, pack := range []int{packMTU, packMax} {
+		for _, fab := range fabrics(t) { // a fresh pair per run: the peer closes its transport
+			t.Run(fmt.Sprintf("%s/pack%d", fab.name, pack), func(t *testing.T) {
+				ps := make([]pkt, 300)
+				for i := range ps {
+					// The match position moves with i: no two neighbours share a report.
+					ps[i] = pkt{tag: statelessTag, tuple: flow(i % 4), payload: []byte(fmt.Sprintf("%*sevil %03d", 1+i%40, "", i))}
+				}
+				want := reference(t, testEngine(t), ps)
+				eng := testEngine(t)
+				got, ctr, perDatagram := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine { return eng }}, ps, pack)
+				checkReports(t, ps, got, want)
+				if over := ctr.get("wire.reorder_overflow_drops"); over != 0 {
+					t.Errorf("%d frames dropped beyond the reorder window, want all 300 accepted in order", over)
+				}
+				if pack == packMax && perDatagram <= wire.HoldFrames {
+					t.Errorf("fullest datagram carried %d frames, want more than HoldFrames (%d)", perDatagram, wire.HoldFrames)
+				}
+			})
+		}
 	}
 }
 
@@ -456,7 +480,7 @@ func TestTracedFrameKeepsStreamOrder(t *testing.T) {
 			}
 			eng := testEngine(t)
 			tracer := trace.NewTracer("test", 64)
-			got, _ := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine { return eng }, Tracer: tracer}, ps)
+			got, _, _ := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine { return eng }, Tracer: tracer}, ps, packMTU)
 			checkReports(t, ps, got, want)
 			stages := map[trace.Stage]bool{}
 			for _, sp := range tracer.Snapshot() {
@@ -526,9 +550,9 @@ func TestEngineSwapBetweenRuns(t *testing.T) {
 
 			engines := []*core.Engine{testEngine(t, "old-sig"), testEngine(t, "new-sig")}
 			var loads atomic.Int32
-			got, _ := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine {
+			got, _, _ := oneBatch(t, fab, &Scanner{Engine: func() *core.Engine {
 				return engines[min(int(loads.Add(1)), len(engines))-1]
-			}}, ps)
+			}}, ps, packMTU)
 			checkReports(t, ps, got, want)
 			if n := loads.Load(); n != 2 {
 				t.Errorf("engine loaded %d times for two runs", n)

@@ -26,12 +26,13 @@ const (
 	EvLeaseDead                // a=HashString(instance id)
 	EvFailover                 // a=chains reassigned, b=chains unassigned
 	EvUnscanned                // a=flow tuple hash, b=1 if dropped (fail-closed), 0 if passed
+	EvBudgetFallback           // a=datagram budget given up, b=budget fallen back to
 )
 
 var eventNames = [...]string{
 	"none", "flow_evict", "stream_evict", "reassembly_drop", "shed",
 	"retransmit", "session_dead", "lease_suspect", "lease_dead",
-	"failover", "unscanned",
+	"failover", "unscanned", "budget_fallback",
 }
 
 // String renders the kind for dumps and logs.

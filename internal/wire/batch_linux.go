@@ -62,6 +62,87 @@ type batchIO struct {
 	rerr, werr syscall.Errno
 }
 
+// Header bytes a UDP datagram spends out of the path MTU.
+const (
+	udp4Overhead = 20 + 8
+	udp6Overhead = 40 + 8
+)
+
+// tuneSocket sizes conn's buffers and forbids fragmentation, and returns
+// the buffer sizes the kernel granted (as SO_RCVBUF/SO_SNDBUF report
+// them, bookkeeping overhead included). A plain SO_RCVBUF request is
+// silently clamped to net.core.rmem_max, so the privileged FORCE variant
+// is tried first; EPERM just means the clamp applies. With
+// IP_PMTUDISC_DO every datagram carries DF and one longer than the path
+// MTU fails with EMSGSIZE instead of being fragmented; both levels are
+// set because a dual-stack socket carries both families.
+func tuneSocket(conn *net.UDPConn) (rcvbuf, sndbuf int) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0, 0
+	}
+	rc.Control(func(p uintptr) {
+		fd := int(p)
+		if syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUFFORCE, socketBufferBytes) != nil {
+			syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, socketBufferBytes)
+		}
+		if syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUFFORCE, socketBufferBytes) != nil {
+			syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF, socketBufferBytes)
+		}
+		rcvbuf, _ = syscall.GetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		sndbuf, _ = syscall.GetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+		// One of the two fails on a single-family socket.
+		syscall.SetsockoptInt(fd, syscall.IPPROTO_IP, syscall.IP_MTU_DISCOVER, syscall.IP_PMTUDISC_DO)
+		syscall.SetsockoptInt(fd, syscall.IPPROTO_IPV6, syscall.IPV6_MTU_DISCOVER, syscall.IPV6_PMTUDISC_DO)
+	})
+	return rcvbuf, sndbuf
+}
+
+// connectedBudget reads the path MTU the kernel holds for a connected
+// socket's route and returns it less the headers; 0 when it cannot say.
+func connectedBudget(conn *net.UDPConn) int {
+	ra, ok := conn.RemoteAddr().(*net.UDPAddr)
+	//dpi:coldalloc(session setup and the EMSGSIZE path: one getsockopt per peer)
+	rc, err := conn.SyscallConn()
+	if !ok || err != nil {
+		return 0
+	}
+	level, opt, overhead := syscall.IPPROTO_IP, syscall.IP_MTU, udp4Overhead
+	if ra.IP.To4() == nil {
+		level, opt, overhead = syscall.IPPROTO_IPV6, syscall.IPV6_MTU, udp6Overhead
+	}
+	//dpi:coldalloc(session setup and the EMSGSIZE path: one getsockopt per peer)
+	budget := 0
+	//dpi:coldalloc(session setup and the EMSGSIZE path: one getsockopt per peer)
+	rc.Control(func(fd uintptr) {
+		if mtu, err := syscall.GetsockoptInt(int(fd), level, opt); err == nil {
+			budget = mtu - overhead
+		}
+	})
+	return budget
+}
+
+// pathBudget is the kernel's datagram size for the path toward peer; 0
+// when it cannot say. IP_MTU answers only on a connected socket, so a
+// bound one asks through a throwaway socket connected to the peer: the
+// route, and any path MTU the kernel has learned for it, is shared.
+// Setup and the EMSGSIZE path only.
+func pathBudget(conn *net.UDPConn, connected bool, peer Addr) int {
+	if connected {
+		return connectedBudget(conn)
+	}
+	if !peer.AP.IsValid() {
+		return 0
+	}
+	probe, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(peer.AP))
+	if err != nil {
+		return 0
+	}
+	budget := connectedBudget(probe)
+	probe.Close()
+	return budget
+}
+
 // newBatchIO prepares batch state for conn; nil when the raw conn is
 // unavailable.
 func newBatchIO(conn *net.UDPConn, connected bool) *batchIO {
@@ -136,9 +217,12 @@ func (b *batchIO) readBatch(dgs []Datagram) (int, error) {
 	return got, nil
 }
 
-// writeBatch sends all of dgs, looping sendmmsg over partial sends.
+// writeBatch sends all of dgs, looping sendmmsg over partial sends. A
+// datagram the kernel refuses for its size (EMSGSIZE: DF is set and the
+// path MTU is smaller) is skipped and the rest still go out; the call
+// then reports ErrMsgSize next to the count that left.
 func (b *batchIO) writeBatch(dgs []Datagram) (int, error) {
-	sent := 0
+	sent, refused := 0, 0
 	for sent < len(dgs) {
 		n := len(dgs) - sent
 		if n > len(b.whs) {
@@ -167,14 +251,24 @@ func (b *batchIO) writeBatch(dgs []Datagram) (int, error) {
 		if err := b.rc.Write(b.send); err != nil {
 			return sent, err
 		}
+		if b.werr == syscall.EMSGSIZE {
+			// sendmmsg fails only on its first message: the ones before
+			// the refused datagram were counted by the previous call.
+			sent++
+			refused++
+			continue
+		}
 		if b.werr != 0 {
-			return sent, b.werr
+			return sent - refused, b.werr
 		}
 		wrote := b.wgot
 		if wrote <= 0 {
-			return sent, syscall.EIO
+			return sent - refused, syscall.EIO
 		}
 		sent += wrote
+	}
+	if refused > 0 {
+		return sent - refused, ErrMsgSize
 	}
 	return sent, nil
 }

@@ -15,6 +15,10 @@ type ChaosConfig struct {
 	Dup     float64 // datagram forwarded twice
 	Reorder float64 // datagram held and swapped with its successor
 	Seed    uint64
+	// MaxSize, when positive, discards every datagram longer than this
+	// many bytes and relays the rest: a path-MTU black hole. Like
+	// netsim.Fault.MaxSize it draws nothing from the seeded schedule.
+	MaxSize int
 }
 
 // ChaosStats counts what the proxy did, so tests can assert the faults
@@ -24,6 +28,7 @@ type ChaosStats struct {
 	Dropped   uint64
 	Duped     uint64
 	Reordered uint64
+	Oversize  uint64 // discarded for exceeding MaxSize
 }
 
 // ChaosProxy is a loopback UDP man-in-the-middle for soak tests: it
@@ -49,6 +54,7 @@ type ChaosProxy struct {
 	dropped   atomic.Uint64
 	duped     atomic.Uint64
 	reordered atomic.Uint64
+	oversize  atomic.Uint64
 }
 
 // NewChaosProxy starts a proxy on an ephemeral loopback port relaying
@@ -75,6 +81,11 @@ func NewChaosProxy(server string, cfg ChaosConfig) (*ChaosProxy, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
+	// Sockets like the transport's own: DF set, so the proxy relays what
+	// it was sent or fails, and buffers that hold a window of full
+	// datagrams, so the only loss is the loss it injects.
+	tuneSocket(lc)
+	tuneSocket(sc)
 	p := &ChaosProxy{cfg: cfg, lc: lc, sc: sc}
 	p.wg.Add(2)
 	go p.clientToServer()
@@ -92,6 +103,7 @@ func (p *ChaosProxy) Stats() ChaosStats {
 		Dropped:   p.dropped.Load(),
 		Duped:     p.duped.Load(),
 		Reordered: p.reordered.Load(),
+		Oversize:  p.oversize.Load(),
 	}
 }
 
@@ -132,6 +144,10 @@ func (d *chaosDir) hit(p float64) bool {
 
 // relay applies the fault schedule to one datagram.
 func (d *chaosDir) relay(b []byte) {
+	if max := d.p.cfg.MaxSize; max > 0 && len(b) > max {
+		d.p.oversize.Add(1)
+		return
+	}
 	if d.hit(d.p.cfg.Drop) {
 		d.p.dropped.Add(1)
 		return

@@ -12,26 +12,41 @@ import (
 // ErrTimeout reports an expired wait (hello handshake, WaitIdle).
 var ErrTimeout = errors.New("wire: timed out")
 
-// coalesceBudget is the soft datagram size for frame coalescing: small
-// frames (acks, results) pack together up to this size before a new
-// datagram is opened. A single frame larger than the budget still gets
-// its own datagram (up to MaxFramePayload).
-const coalesceBudget = 1400
-
 // stager coalesces emitted frames into datagrams and hands full
 // batches to its write function. All buffers are preallocated; staging
 // is allocation free. Owners serialize access under their own mutex.
+//
+// How large a datagram may grow is the path's business, not a constant:
+// path is what the transport reports for this peer (Transport.PathBudget
+// — the kernel's route MTU less headers on UDP, coalesceBudget where it
+// cannot be asked) and budget, never above it, is the ceiling in use. A
+// Conn starts at the path's size; a server session starts at the default
+// and follows the largest datagram its peer has delivered. The budget is
+// a ceiling for coalescing only: every flush point sends what is staged,
+// however little.
 type stager struct {
 	dgs   []Datagram
 	n     int // datagrams staged; dgs[n-1] is open for coalescing
 	addr  Addr
 	met   *Metrics
 	write func(dgs []Datagram)
+
+	budget int
+	path   int
+	// strict: the transport refuses to fragment, so a frame that does not
+	// fit a path-sized datagram cannot be sent at all (fits). Otherwise a
+	// frame above the budget rides alone.
+	strict bool
+	// fellBack pins the budget at the default for the rest of the
+	// session: the path ate the larger datagrams it was said to carry.
+	fellBack bool
 }
 
-func newStager(addr Addr, met *Metrics, write func([]Datagram)) *stager {
+func newStager(tr Transport, addr Addr, met *Metrics, write func([]Datagram)) *stager {
 	//dpi:coldalloc(session setup: all staging buffers preallocated once per peer)
 	s := &stager{addr: addr, met: met, write: write}
+	s.path, s.strict = tr.PathBudget(addr)
+	s.setBudget(min(coalesceBudget, s.path))
 	//dpi:coldalloc(session setup: all staging buffers preallocated once per peer)
 	s.dgs = make([]Datagram, DefaultBatch)
 	for i := range s.dgs {
@@ -47,7 +62,7 @@ func newStager(addr Addr, met *Metrics, write func([]Datagram)) *stager {
 //dpi:hotpath
 func (s *stager) stage(h Header, payload []byte) {
 	need := HeaderLen + len(payload)
-	if s.n == 0 || len(s.dgs[s.n-1].Buf)+need > coalesceBudget {
+	if s.n == 0 || len(s.dgs[s.n-1].Buf)+need > s.budget {
 		if s.n == len(s.dgs) {
 			s.flush()
 		}
@@ -69,7 +84,58 @@ func (s *stager) flush() {
 		return
 	}
 	s.write(s.dgs[:s.n])
+	s.met.addBatchOut(uint64(s.n))
 	s.n = 0
+}
+
+// refused is the owner's answer to ErrMsgSize from a write: the path
+// refused a datagram the budget allowed. Nothing is lost — the frames
+// it carried are still in their send slots and retransmission re-stages
+// them — but the budget must shrink first. The transport is asked again
+// (the kernel may have learned a smaller path MTU since); if its answer
+// does not explain the refusal the session falls back to the default.
+func (s *stager) refused(tr Transport) {
+	s.met.addEmsgsize()
+	s.path, s.strict = tr.PathBudget(s.addr)
+	if s.path < s.budget {
+		s.setBudget(s.path)
+	} else {
+		s.fallBack()
+	}
+}
+
+// setBudget moves the ceiling and publishes it (wire.datagram_budget).
+func (s *stager) setBudget(b int) {
+	s.budget = b
+	s.met.setBudget(b)
+}
+
+// raise lifts the budget toward size, as far as the path goes.
+func (s *stager) raise(size int) {
+	if b := min(size, s.path); b > s.budget && !s.fellBack {
+		s.setBudget(b)
+	}
+}
+
+// fallBack gives up a budget above the default for the rest of the
+// session. It is how a path-MTU black hole — a hop that drops long
+// datagrams and reports nothing — costs a few timeouts rather than the
+// session: Endpoint.OnRepeatLoss calls it when a frame's retransmission
+// has itself timed out.
+func (s *stager) fallBack() {
+	if s.budget <= coalesceBudget {
+		return
+	}
+	s.met.budgetFallback(s.budget, coalesceBudget)
+	s.fellBack = true
+	s.setBudget(coalesceBudget)
+}
+
+// fits reports whether a frame with this payload can be sent at all.
+//
+//dpi:hotpath
+func (s *stager) fits(payload int) bool {
+	return !s.strict || HeaderLen+payload <= s.path
 }
 
 // Conn is the client side of a wire session: it dials a Transport,
@@ -124,9 +190,19 @@ func NewConn(tr Transport, token uint64, id string, cfg Config, met *Metrics) *C
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.ep = NewEndpoint(token, cfg, met)
-	c.st = newStager(Addr{}, met, c.writeOut)
+	c.st = newStager(tr, Addr{}, met, c.writeOut)
+	c.st.raise(c.st.path) // a client speaks first: it starts at the path's size
+	c.ep.OnRepeatLoss(c.st.fallBack)
 	c.emit = c.st.stage
+	met.noteSocket(tr)
 	return c
+}
+
+// Budget returns the datagram size the conn currently coalesces up to.
+func (c *Conn) Budget() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.st.budget
 }
 
 // OnResult registers the result callback. Must be called before Start.
@@ -135,12 +211,17 @@ func (c *Conn) OnResult(fn func(dataSeq uint32, report []byte)) { c.onResult = f
 // now returns session-relative monotonic nanoseconds.
 func (c *Conn) now() int64 { return int64(time.Since(c.clockBase)) }
 
-// writeOut is the stager's sink; a transport error poisons the conn.
+// writeOut is the stager's sink. A datagram refused for its size
+// shrinks the budget; any other transport error poisons the conn.
 func (c *Conn) writeOut(dgs []Datagram) {
-	if _, err := c.tr.WriteBatch(dgs); err != nil && c.err == nil && !c.closed {
+	_, err := c.tr.WriteBatch(dgs)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrMsgSize):
+		c.st.refused(c.tr)
+	case c.err == nil && !c.closed:
 		c.err = err
 	}
-	c.met.addBatchOut()
 }
 
 // Start launches the service goroutines and performs the Hello
@@ -327,6 +408,11 @@ func (c *Conn) sendReliable(t Type, flags uint8, tag uint16, tuple packet.FiveTu
 			c.scratch = AppendDataTraced(c.scratch[:0], tag, tuple, traceID, pktIdx, body)
 		} else {
 			c.scratch = AppendData(c.scratch[:0], tag, tuple, body)
+		}
+		if !c.st.fits(len(c.scratch)) {
+			c.mu.Unlock()
+			c.met.addOversize()
+			return 0, ErrPayloadSplit
 		}
 		seq, err := c.ep.SendEx(t, flags, c.scratch, c.now(), c.emit)
 		if err == ErrWindowFull {

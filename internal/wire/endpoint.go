@@ -123,6 +123,8 @@ type Endpoint struct {
 
 	rng uint64 // xorshift64 jitter state
 
+	onRepeatLoss func() // see OnRepeatLoss
+
 	stats Stats
 	met   *Metrics
 }
@@ -156,6 +158,13 @@ func NewEndpoint(token uint64, cfg Config, met *Metrics) *Endpoint {
 	}
 	return e
 }
+
+// OnRepeatLoss registers fn, which Tick calls before it re-emits a frame
+// whose earlier retransmission has timed out as well. One timeout is
+// ordinary loss; the same frame lost twice running is the signature of
+// a path that eats the datagrams it rides in, and the owner's chance to
+// send smaller ones — from this frame on. Set at setup, before traffic.
+func (e *Endpoint) OnRepeatLoss(fn func()) { e.onRepeatLoss = fn }
 
 // Stats returns a snapshot of the protocol counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
@@ -389,6 +398,9 @@ func (e *Endpoint) Tick(now int64, emit Emit) bool {
 			e.dead = true
 			e.met.flightSessionDead(e.token, true)
 			return false
+		}
+		if s.retries > 0 && e.onRepeatLoss != nil {
+			e.onRepeatLoss()
 		}
 		s.sentAt = now
 		s.retries++

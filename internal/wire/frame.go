@@ -97,7 +97,8 @@ var (
 	ErrSessionDead  = errors.New("wire: session dead (retransmit limit)")
 	ErrClosed       = errors.New("wire: closed")
 	ErrNoSession    = errors.New("wire: no session established")
-	ErrPayloadSplit = errors.New("wire: payload exceeds MaxFramePayload")
+	ErrPayloadSplit = errors.New("wire: payload exceeds MaxFramePayload or the path's datagram size")
+	ErrMsgSize      = errors.New("wire: datagram exceeds the path MTU")
 )
 
 // Header is one decoded frame header.

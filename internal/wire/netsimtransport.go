@@ -86,6 +86,9 @@ func (t *NetsimTransport) Recv(port int, frame []byte) {
 // LocalAddr implements Transport.
 func (t *NetsimTransport) LocalAddr() Addr { return Addr{Name: t.name} }
 
+// PathBudget implements Transport: a netsim link has no MTU to ask for.
+func (t *NetsimTransport) PathBudget(Addr) (int, bool) { return coalesceBudget, false }
+
 // WriteBatch implements Transport. A datagram with the zero Addr goes
 // to the single connected peer (errors if there are several).
 func (t *NetsimTransport) WriteBatch(dgs []Datagram) (int, error) {

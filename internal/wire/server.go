@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"time"
 
@@ -104,6 +105,10 @@ func (s *Session) SendVerdict(tag uint16, tuple packet.FiveTuple, report []byte)
 //dpi:hotpath
 func (s *Session) sendReliable(t Type, payload []byte) error {
 	if len(payload) > MaxFramePayload {
+		return ErrPayloadSplit
+	}
+	if !s.st.fits(len(payload)) {
+		s.srv.met.addOversize()
 		return ErrPayloadSplit
 	}
 	if s.ep.Dead() {
@@ -245,6 +250,9 @@ func (v *Server) now() int64 { return int64(time.Since(v.clockBase)) }
 
 // Start launches the receive and ticker goroutines.
 func (v *Server) Start() {
+	if w := v.met.noteSocket(v.tr); w != "" {
+		v.logf("%s", w)
+	}
 	v.wg.Add(2)
 	go v.recvLoop()
 	go v.tickLoop()
@@ -260,13 +268,20 @@ func (v *Server) SessionCount() int {
 	return len(v.sessions)
 }
 
-// writeOut is every session stager's sink.
-func (v *Server) writeOut(dgs []Datagram) {
-	if _, err := v.tr.WriteBatch(dgs); err != nil && v.wrErr == nil && !v.closed {
+// writeOut is the session stager's sink. A datagram refused for its
+// size shrinks the session's budget; the first other write error is
+// logged.
+func (s *Session) writeOut(dgs []Datagram) {
+	v := s.srv
+	_, err := v.tr.WriteBatch(dgs)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrMsgSize):
+		s.st.refused(v.tr)
+	case v.wrErr == nil && !v.closed:
 		v.wrErr = err
 		v.logf("wire server: write: %v", err)
 	}
-	v.met.addBatchOut()
 }
 
 // recvLoop drains transport batches and dispatches frames to sessions.
@@ -304,6 +319,7 @@ func (v *Server) recvLoop() {
 //
 //dpi:hotpath
 func (v *Server) handleDatagram(from Addr, buf []byte) {
+	size := len(buf)
 	for len(buf) > 0 {
 		h, payload, rest, err := NextFrame(buf)
 		if err != nil {
@@ -312,7 +328,17 @@ func (v *Server) handleDatagram(from Addr, buf []byte) {
 		}
 		buf = rest
 		v.met.addFramesIn(1, uint64(HeaderLen+len(payload)))
-		if s := v.handleFrame(from, h, payload); s != nil && !s.touched {
+		s := v.handleFrame(from, h, payload)
+		if s == nil {
+			continue
+		}
+		// The peer sends DF datagrams sized to the path it measured: one
+		// that arrived is proof the path carries that much, at least this
+		// way, and the reply budget follows it.
+		if size > s.st.budget {
+			s.st.raise(size)
+		}
+		if !s.touched {
 			s.touched = true
 			v.touched = append(v.touched, s)
 		}
@@ -380,7 +406,7 @@ func (v *Server) handleHello(from Addr, sess *Session, h Header, payload []byte)
 		v.sessions[from] = sess
 		v.met.sessionDelta(1)
 		//dpi:coldalloc(hello path: logged once per session)
-		v.logf("wire server: session %q from %s", sess.id, from.String())
+		v.logf("wire server: session %q from %s (datagram budget %d, path %d)", sess.id, from.String(), sess.st.budget, sess.st.path)
 		if v.onHello != nil {
 			v.onHello(sess)
 		}
@@ -401,7 +427,9 @@ func (v *Server) newSession(from Addr, token uint64, id string) *Session {
 		lastRecv: v.nowNanos,
 	}
 	//dpi:coldalloc(session setup: endpoint and buffers allocated once per peer)
-	s.st = newStager(from, v.met, v.writeOut)
+	s.st = newStager(v.tr, from, v.met, s.writeOut)
+	//dpi:coldalloc(session setup: method-value closure bound once per peer)
+	s.ep.OnRepeatLoss(s.st.fallBack)
 	//dpi:coldalloc(session setup: method-value closure bound once per peer)
 	s.emit = s.st.stage
 	return s
@@ -476,6 +504,7 @@ func (v *Server) tickOnce() {
 	v.mu.Lock()
 	v.nowNanos = now
 	v.expired = v.expired[:0]
+	budget := 0
 	for addr, sess := range v.sessions {
 		alive := sess.ep.Tick(now, sess.emit)
 		sess.drainPending(now)
@@ -483,9 +512,15 @@ func (v *Server) tickOnce() {
 			sess.ep.BuildAck(v.ackBuf, sess.emit)
 		}
 		sess.st.flush()
+		if budget == 0 || sess.st.budget < budget {
+			budget = sess.st.budget
+		}
 		if !alive || now-sess.lastRecv > int64(v.idle) {
 			v.expired = append(v.expired, addr)
 		}
+	}
+	if budget > 0 {
+		v.met.setBudget(budget)
 	}
 	for _, addr := range v.expired {
 		sess := v.sessions[addr]

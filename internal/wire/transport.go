@@ -41,7 +41,10 @@ type Datagram struct {
 type Transport interface {
 	// WriteBatch sends the given datagrams, returning how many were
 	// handed to the network. Datagrams to the zero Addr go to the
-	// connected peer (connected transports only).
+	// connected peer (connected transports only). ErrMsgSize reports that
+	// the path refused some for their size and the rest went out: the
+	// caller shrinks its budget and lets retransmission re-send the
+	// frames they carried.
 	WriteBatch(dgs []Datagram) (int, error)
 	// ReadBatch blocks until at least one datagram is available, fills
 	// up to len(dgs) entries and returns the count. Each dgs[i].Buf
@@ -49,11 +52,27 @@ type Transport interface {
 	// return it is resliced to the received length and dgs[i].Addr is
 	// the sender.
 	ReadBatch(dgs []Datagram) (int, error)
+	// PathBudget reports the largest datagram the path toward peer (the
+	// zero Addr: the connected peer) carries in one piece. With df set
+	// that is the kernel's figure for a socket that refuses to fragment:
+	// a longer datagram fails with ErrMsgSize and a frame that cannot fit
+	// is refused at Send. Without it the transport cannot ask, budget is
+	// coalesceBudget, and a longer frame still travels, alone in its
+	// datagram.
+	PathBudget(peer Addr) (budget int, df bool)
 	// LocalAddr returns the transport's own address.
 	LocalAddr() Addr
 	// Close unblocks readers and releases the transport.
 	Close() error
 }
+
+// coalesceBudget is the datagram budget of a path that cannot be asked
+// for its own (netsim, platforms without the socket options, a server
+// session before its peer has shown what the path carries): 1400 bytes
+// fits every common MTU with room for tunnel headers. It is also what a
+// session falls back to when its path turns out to eat the larger
+// datagrams it was promised.
+const coalesceBudget = 1400
 
 // DefaultBatch is the batch size Conn and Server use for transport
 // reads and writes.

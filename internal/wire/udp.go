@@ -15,6 +15,9 @@ type UDPTransport struct {
 	conn      *net.UDPConn
 	connected bool
 	local     Addr
+	// Socket buffer sizes the kernel granted; 0 where they cannot be
+	// read back.
+	rcvbuf, sndbuf int
 
 	// batch is the platform batch-syscall state; nil when unavailable
 	// (non-linux, or raw-conn setup failed).
@@ -23,7 +26,9 @@ type UDPTransport struct {
 
 // socketBufferBytes is requested for both socket buffers: a burst of
 // full batches must not be dropped by the kernel while the reader is
-// scanning.
+// scanning. One 256-frame window of MTU-sized packets is ~370 KiB, more
+// than a stock kernel's 208 KiB clamp holds, so the grant is read back
+// (SocketBuffers) and a short one is reported at start-up.
 const socketBufferBytes = 4 << 20
 
 // ListenUDP opens a bound (server) transport on addr, e.g.
@@ -54,9 +59,8 @@ func DialUDP(addr string) (*UDPTransport, error) {
 }
 
 func newUDPTransport(conn *net.UDPConn, connected bool) *UDPTransport {
-	conn.SetReadBuffer(socketBufferBytes)
-	conn.SetWriteBuffer(socketBufferBytes)
 	t := &UDPTransport{conn: conn, connected: connected}
+	t.rcvbuf, t.sndbuf = tuneSocket(conn)
 	if la, ok := conn.LocalAddr().(*net.UDPAddr); ok {
 		t.local = Addr{AP: la.AddrPort()}
 	}
@@ -66,6 +70,22 @@ func newUDPTransport(conn *net.UDPConn, connected bool) *UDPTransport {
 
 // LocalAddr implements Transport.
 func (t *UDPTransport) LocalAddr() Addr { return t.local }
+
+// SocketBuffers returns the receive and send buffer sizes the kernel
+// granted (as SO_RCVBUF/SO_SNDBUF report them); 0 where they cannot be
+// read back.
+func (t *UDPTransport) SocketBuffers() (rcvbuf, sndbuf int) { return t.rcvbuf, t.sndbuf }
+
+// PathBudget implements Transport: the route's MTU less the IP and UDP
+// headers, capped at MaxDatagram. A connected socket reads its own
+// route; a bound one asks about peer's.
+func (t *UDPTransport) PathBudget(peer Addr) (int, bool) {
+	b := pathBudget(t.conn, t.connected, peer)
+	if b <= 0 {
+		return coalesceBudget, false
+	}
+	return min(b, MaxDatagram), true
+}
 
 // Batched reports whether the platform batch syscalls are in use.
 func (t *UDPTransport) Batched() bool { return t.batch != nil }
