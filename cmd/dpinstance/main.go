@@ -344,10 +344,10 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 			InstanceID: id, Packets: s.Packets, Bytes: s.Bytes,
 			BytesScanned: s.BytesScanned, Matches: s.Matches,
 		}
-		for _, f := range engine.FlowStats() {
-			if f.Bytes == 0 || float64(f.Matches)/float64(f.Bytes) < 0.01 {
-				continue
-			}
+		// The 16 densest flows at 1 % match density or more, selected
+		// during the table walk: the export allocates per heavy flow,
+		// not per tracked flow.
+		for _, f := range engine.HeavyFlows(16, 0.01) {
 			tel.HeavyFlows = append(tel.HeavyFlows, ctlproto.FlowTelemetry{
 				Flow: ctlproto.FlowKey{
 					Src: f.Tuple.Src.String(), Dst: f.Tuple.Dst.String(),
@@ -356,9 +356,6 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 				},
 				Bytes: f.Bytes, Matches: f.Matches,
 			})
-			if len(tel.HeavyFlows) >= 16 {
-				break
-			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 		err = cl.SendTelemetry(ctx, tel)

@@ -117,10 +117,9 @@ func (e *Engine) inspectRun(items []BatchItem) {
 		ls  mpm.Lanes
 		scr [mpm.LaneWidth]*scratch   // slot k's scan
 		dst [mpm.LaneWidth]*BatchItem // and the item it answers
-		// The head of the queue while its flow is checked out: looked up
-		// once, given a scratch once, prepared until it succeeds.
-		head   *scratch
-		headFS *flowState
+		// The head of the queue while its flow is checked out: given a
+		// scratch once, prepared until it succeeds.
+		head *scratch
 	)
 	for q := 0; ; {
 		for ls.Len() < mpm.LaneWidth && q < len(items) {
@@ -134,13 +133,13 @@ func (e *Engine) inspectRun(items []BatchItem) {
 				continue
 			}
 			if head == nil {
-				head, headFS = e.scratchPool.Get().(*scratch), e.flowOf(it.Tuple)
+				head = e.scratchPool.Get().(*scratch)
 			}
-			if !e.prepare(chain, headFS, it.Payload, head) {
+			if !e.prepare(chain, it.Tuple, it.Payload, head) {
 				break
 			}
 			s := head
-			head, headFS = nil, nil
+			head = nil
 			q++
 			if s.ps.limit == 0 {
 				it.Report = e.finish(s, it.Buf)

@@ -95,8 +95,10 @@ type Config struct {
 	// Decompress enables one-time gzip decompression of payloads that
 	// carry the gzip magic before scanning.
 	Decompress bool
-	// MaxFlows bounds the stateful flow table; 0 selects a default.
-	// When full, the least recently scanned flow is evicted.
+	// MaxFlows bounds the flow table; 0 selects a default of 65 536.
+	// The table is set-associative: a new flow whose eight-way bucket
+	// is full (or whose shard holds MaxFlows/Shards flows) evicts the
+	// least recently scanned flow of that bucket.
 	MaxFlows int
 	// MaxDecompressedBytes bounds decompression output per packet to
 	// contain decompression bombs; 0 selects a default of 256 KiB.

@@ -32,6 +32,9 @@ type Engine struct {
 	// the one kind with lanes: InspectBatch streams each run of packets
 	// through mpm.LaneWidth lockstep walks of it (inspectRun).
 	acLanes *mpm.ACFull
+	// start and foldStart are the automata's start states, the state a
+	// new flow and every stateless scan begins in.
+	start, foldStart mpm.State
 	// autoFold matches the case-insensitive (Snort nocase) patterns
 	// against a case-folded view of the payload; nil when no profile
 	// has any.
@@ -48,8 +51,9 @@ type Engine struct {
 	cfg        Config
 
 	// The flow table is sharded by FiveTuple.FastHash. Each shard has
-	// its own lock, map and LRU clock, so packets of different flows
-	// proceed concurrently.
+	// its own lock, LRU clock and slice of one set-associative array of
+	// inline entries, so packets of different flows proceed
+	// concurrently.
 	shards    []*flowShard
 	shardMask uint64
 
@@ -262,6 +266,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		auto = nil
 	}
 	e.auto = auto
+	if auto != nil {
+		e.start = auto.Start()
+	}
 	if bFold.NumPatterns() > 0 {
 		var fold mpm.Automaton
 		switch cfg.Kind {
@@ -276,6 +283,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.autoFold = fold
+		e.foldStart = fold.Start()
 	}
 	for tag, members := range cfg.Chains {
 		ci := &chainInfo{tag: tag}
@@ -310,6 +318,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if perShard < 1 {
 		perShard = 1
 	}
+	// The whole table is one zeroed allocation (a zero bucket is
+	// empty), so building an engine touches none of it and a page of it
+	// costs resident memory only once a flow hashes there.
+	perShardBuckets := (perShard + flowWays - 1) / flowWays
+	table := make([]flowBucket, n*perShardBuckets)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -317,7 +330,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.met = newEngineMetrics(reg, n)
 	for i := range e.shards {
 		e.shards[i] = &flowShard{
-			flows:    make(map[packet.FiveTuple]*flowState),
+			buckets:  table[i*perShardBuckets : (i+1)*perShardBuckets : (i+1)*perShardBuckets],
 			maxFlows: perShard,
 			scans:    e.met.shardScans[i],
 		}
@@ -396,8 +409,7 @@ func (e *Engine) inspectOne(tag uint16, tuple packet.FiveTuple, payload []byte, 
 		return nil, &UnknownChainError{Tag: tag}
 	}
 	s := e.scratchPool.Get().(*scratch)
-	fs := e.flowOf(tuple)
-	for !e.prepare(chain, fs, payload, s) {
+	for !e.prepare(chain, tuple, payload, s) {
 		// Another scan has the flow checked out; it holds no lock we
 		// could sleep on, and it is a DFA walk away from checking in.
 		runtime.Gosched()
@@ -408,53 +420,22 @@ func (e *Engine) inspectOne(tag uint16, tuple packet.FiveTuple, payload []byte, 
 	return rep, nil
 }
 
-// flowOf returns tuple's flow record, counting the packet against its
-// shard. The record carries the DFA scan state for stateful chains and,
-// for every chain, the per-flow telemetry MCA² consumes (Section 4.3.1).
-//
-//dpi:hotpath
-func (e *Engine) flowOf(tuple packet.FiveTuple) *flowState {
-	sh := e.shards[tuple.FastHash()&e.shardMask]
-	sh.scans.Inc()
-	return sh.flow(e, tuple)
-}
-
 // prepare runs everything ahead of the main DFA stage of one scan: flow
-// check-out on stateful chains, per-packet metrics, decompression,
-// stopping conditions, and report reset. The resulting scan plan is left
-// in s.ps. It returns false, having done and counted nothing, when the
-// chain is stateful and another scan has the flow checked out; the
-// caller tries again after that scan's finish.
+// lookup (admitting the flow on a miss) and, on stateful chains,
+// check-out, per-packet metrics, decompression, stopping conditions, and
+// report reset. The resulting scan plan is left in s.ps. It returns
+// false, having done and counted nothing, when the chain is stateful and
+// another scan has the flow checked out; the caller tries again after
+// that scan's finish.
 //
 //dpi:hotpath
-func (e *Engine) prepare(chain *chainInfo, fs *flowState, payload []byte, s *scratch) bool {
-	state := mpm.State(0)
-	if e.auto != nil {
-		state = e.auto.Start()
+func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byte, s *scratch) bool {
+	h := tuple.FastHash()
+	s.ps = pscan{chain: chain, tuple: tuple, state: e.start, foldState: e.foldStart}
+	if !e.shards[h&e.shardMask].acquire(e, h, &s.ps) {
+		return false
 	}
-	foldState := mpm.State(0)
-	if e.autoFold != nil {
-		foldState = e.autoFold.Start()
-	}
-	var offset int64
-	if chain.anyStateful {
-		// Check the flow out: from here to finish this scan owns its
-		// state, and mu is held only for the copy.
-		fs.mu.Lock()
-		busy := fs.scanning
-		if !busy {
-			fs.scanning = true
-			state = fs.state
-			if e.autoFold != nil && fs.foldStarted {
-				foldState = fs.foldState
-			}
-			offset = fs.offset
-		}
-		fs.mu.Unlock()
-		if busy {
-			return false
-		}
-	}
+	offset := s.ps.offset
 
 	e.met.packets.Inc()
 	e.met.bytes.Add(uint64(len(payload)))
@@ -491,7 +472,7 @@ func (e *Engine) prepare(chain *chainInfo, fs *flowState, payload []byte, s *scr
 
 	s.report.Reset()
 	s.cur = scanCtx{chain: chain, report: &s.report, offset: offset, fromRestore: chain.anyStateful && offset > 0}
-	s.ps = pscan{chain: chain, fs: fs, scanData: scanData, limit: limit, state: state, foldState: foldState, offset: offset}
+	s.ps.scanData, s.ps.limit = scanData, limit
 	return true
 }
 
@@ -523,33 +504,22 @@ func (e *Engine) walk(s *scratch) {
 //
 //dpi:hotpath
 func (e *Engine) finish(s *scratch, into *packet.Report) *packet.Report {
-	chain, fs := s.ps.chain, s.ps.fs
+	chain := s.ps.chain
 	scanData, limit, offset := s.ps.scanData, s.ps.limit, s.ps.offset
-	foldState := s.ps.foldState
 	if e.pf != nil {
 		e.met.notePrefilter(&s.pfStats)
 		s.pfStats = mpm.PrefilterStats{}
 	}
 	if e.autoFold != nil && limit > 0 && chain.mask&e.foldMask != 0 {
 		s.foldBuf = appendLowerASCII(s.foldBuf[:0], scanData[:limit])
-		foldState = e.autoFold.Scan(s.foldBuf, foldState, chain.mask, s.emitFn)
+		s.ps.foldState = e.autoFold.Scan(s.foldBuf, s.ps.foldState, chain.mask, s.emitFn)
 	}
 	s.finishRegexes(chain, scanData, offset)
 
-	if chain.anyStateful {
-		// Check the flow back in for its next packet.
-		fs.mu.Lock()
-		fs.state = s.ps.state
-		if e.autoFold != nil {
-			fs.foldState = foldState
-			fs.foldStarted = true
-		}
-		fs.offset = offset + int64(len(scanData))
-		fs.scanning = false
-		fs.mu.Unlock()
-	}
-	fs.bytes.Add(uint64(len(scanData)))
-	fs.matches.Add(s.cur.matches)
+	// Check a stateful flow back in for its next packet, and charge the
+	// packet to the flow's telemetry.
+	s.ps.offset += int64(len(scanData))
+	s.ps.sh.release(&s.ps, e.autoFold != nil, uint64(len(scanData)), s.cur.matches)
 	chain.packets.Add(1)
 	chain.bytes.Add(uint64(len(scanData)))
 	chain.matches.Add(s.cur.matches)
@@ -576,14 +546,8 @@ func (e *Engine) finish(s *scratch, into *packet.Report) *packet.Report {
 
 // EndFlow discards the scan state of a finished flow (e.g. on TCP FIN).
 func (e *Engine) EndFlow(tuple packet.FiveTuple) {
-	sh := e.shards[tuple.FastHash()&e.shardMask]
-	sh.mu.Lock()
-	_, ok := sh.flows[tuple]
-	if ok {
-		delete(sh.flows, tuple)
-	}
-	sh.mu.Unlock()
-	if ok {
+	h := tuple.FastHash()
+	if e.shards[h&e.shardMask].end(h, tuple) {
 		e.met.flowsActive.Add(-1)
 	}
 }
@@ -593,7 +557,7 @@ func (e *Engine) ActiveFlows() int {
 	n := 0
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		n += len(sh.flows)
+		n += sh.flows
 		sh.mu.Unlock()
 	}
 	return n
@@ -610,19 +574,60 @@ type FlowStat struct {
 	Matches uint64
 }
 
-// FlowStats snapshots per-flow telemetry, sorted by tuple so repeated
-// snapshots diff cleanly.
+// FlowStats snapshots every tracked flow's telemetry, sorted by tuple
+// so repeated snapshots diff cleanly. It copies the whole table; the
+// periodic heavy-flow export uses HeavyFlows instead.
 func (e *Engine) FlowStats() []FlowStat {
 	var out []FlowStat
 	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for t, fs := range sh.flows {
-			out = append(out, FlowStat{Tuple: t, Bytes: fs.bytes.Load(), Matches: fs.matches.Load()})
-		}
-		sh.mu.Unlock()
+		sh.walk(func(f FlowStat) { out = append(out, f) })
 	}
 	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i].Tuple, out[j].Tuple) })
 	return out
+}
+
+// HeavyFlows returns up to k tracked flows whose match density (matches
+// per scanned byte) is at least minDensity, densest first and ties in
+// tuple order — the heavy flows MCA² acts on (Section 4.3.1). It selects
+// during the table walk, so it allocates in proportion to the flows it
+// returns, not to the table.
+func (e *Engine) HeavyFlows(k int, minDensity float64) []FlowStat {
+	var top []FlowStat
+	keep := func(f FlowStat) {
+		if density(f) < minDensity || (len(top) == k && !heavier(f, top[k-1])) {
+			return
+		}
+		if len(top) < k {
+			top = append(top, f)
+		}
+		i := len(top) - 1
+		for ; i > 0 && heavier(f, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = f
+	}
+	if k > 0 {
+		for _, sh := range e.shards {
+			sh.walk(keep)
+		}
+	}
+	return top
+}
+
+// density is the flow's matches per scanned byte, 0 before any byte.
+func density(f FlowStat) float64 {
+	if f.Bytes == 0 {
+		return 0
+	}
+	return float64(f.Matches) / float64(f.Bytes)
+}
+
+// heavier orders flows densest first, ties broken by tuple.
+func heavier(a, b FlowStat) bool {
+	if da, db := density(a), density(b); da != db {
+		return da > db
+	}
+	return tupleLess(a.Tuple, b.Tuple)
 }
 
 // tupleLess orders five-tuples lexicographically by (src, dst, sport,

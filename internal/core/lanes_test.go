@@ -88,16 +88,15 @@ func laneCorpus(seed int64, n int) []BatchItem {
 
 // flowOffset reads a flow's stream offset.
 func flowOffset(e *Engine, tuple packet.FiveTuple) int64 {
-	sh := e.shards[tuple.FastHash()&e.shardMask]
+	h := tuple.FastHash()
+	sh := e.shards[h&e.shardMask]
+	b := sh.bucket(h)
 	sh.mu.Lock()
-	fs := sh.flows[tuple]
-	sh.mu.Unlock()
-	if fs == nil {
-		return -1
+	defer sh.mu.Unlock()
+	if w := b.find(flowTag(h), tuple); w >= 0 {
+		return b.ent[w].offset
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.offset
+	return -1
 }
 
 // TestLaneSchedulerMatchesInspect is the scheduler's differential: a

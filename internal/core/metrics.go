@@ -28,6 +28,10 @@ type engineMetrics struct {
 	decompressed  *obs.Counter
 	flowHits      *obs.Counter
 	flowMisses    *obs.Counter
+	// flowsUnstored counts misses scanned from the start state without
+	// being stored because every way of the flow's bucket was checked
+	// out.
+	flowsUnstored *obs.Counter
 
 	// Prefilter telemetry (AutoPrefilter engines only): probe volume,
 	// hit volume, bytes the exact automaton re-scanned, and the two
@@ -66,6 +70,7 @@ func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 		decompressed:  reg.Counter("core.decompressed"),
 		flowHits:      reg.Counter("core.flow_hits"),
 		flowMisses:    reg.Counter("core.flow_misses"),
+		flowsUnstored: reg.Counter("core.flows_unstored"),
 		pfProbes:      reg.Counter("core.prefilter_probes"),
 		pfHits:        reg.Counter("core.prefilter_hits"),
 		pfConfirmed:   reg.Counter("core.prefilter_confirmed_bytes"),
@@ -150,8 +155,7 @@ func (e *Engine) InspectStaged(tag uint16, tuple packet.FiveTuple, payload []byt
 	}
 	s := e.scratchPool.Get().(*scratch)
 	t0 := time.Now()
-	fs := e.flowOf(tuple)
-	for !e.prepare(chain, fs, payload, s) {
+	for !e.prepare(chain, tuple, payload, s) {
 		runtime.Gosched()
 	}
 	t1 := time.Now()

@@ -43,10 +43,15 @@ type scratch struct {
 // decompression, flow lookup, stopping conditions, report reset) and
 // finish (fold scan, regex confirmation, flow-state store, counters).
 // For a stateful chain the flow is checked out to this scan for the
-// whole span, and state and offset are its copies.
+// whole span, and state, foldState and offset are its copies.
 type pscan struct {
-	chain     *chainInfo
-	fs        *flowState
+	chain *chainInfo
+	tuple packet.FiveTuple
+	// sh, bucket and way locate the flow's entry; way is -1 when the
+	// flow could not be stored (every way of its bucket checked out).
+	sh        *flowShard
+	bucket    *flowBucket
+	way       int
 	scanData  []byte
 	limit     int
 	state     mpm.State

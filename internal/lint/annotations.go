@@ -24,7 +24,7 @@ import (
 //	                         hierarchy — acquiring a while b is held is a
 //	                         violation. Lock names are the qualified
 //	                         labels the lockorder check prints, e.g.
-//	                         "core.flowShard.mu < core.flowState.mu".
+//	                         "middlebox.DPINode.mu < core.flowShard.mu".
 //	//dpi:detached(reason)   on the line of (or the line above) a `go`
 //	                         statement: waives the goroutine-lifecycle
 //	                         check for a deliberately unsupervised

@@ -17,10 +17,11 @@ import (
 // function, so it never closes the lexical critical section.
 //
 // Matching locks by name rather than by object identity is deliberate:
-// it keeps the rule explainable at a glance, and it lets a field of one
-// struct (flowState.lastUsed) be guarded by the lock of another (the
-// owning shard's mu) without an ownership calculus. The race detector
-// remains the backstop for what a lexical rule cannot see.
+// it keeps the rule explainable at a glance, and it lets the fields of
+// one struct (the flow table's core.flowBucket and core.flowEntry) be
+// guarded by the lock of another (the owning core.flowShard's mu)
+// without an ownership calculus. The race detector remains the backstop
+// for what a lexical rule cannot see.
 //
 // Two common acquisition shapes are recognized rather than flagged:
 // mu.TryLock()/mu.TryRLock() count as acquisitions (the code guarded by

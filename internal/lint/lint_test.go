@@ -181,8 +181,10 @@ func TestModule(t *testing.T) {
 		"core.Engine.inspectRun",
 		"core.Engine.prepare",
 		"core.Engine.finish",
-		"core.flowShard.flow",
-		"core.flowShard.evictFlow",
+		"core.flowShard.acquire",
+		"core.flowShard.admit",
+		"core.flowShard.release",
+		"core.flowBucket.find",
 		"core.scratch.emit",
 		"mpm.ACFull.Scan",
 		"mpm.ACFull.Advance",
@@ -240,7 +242,6 @@ func TestModule(t *testing.T) {
 		"middlebox.DPINode.mu < core.flowShard.mu",
 		"middlebox.DPINode.mu < netsim.Host.mu",
 		"middlebox.DPINode.mu < obs.Registry.mu",
-		"core.flowShard.mu < core.flowState.mu",
 		"netsim.Network.mu < netsim.Host.mu",
 		"netsim.Network.mu < openflow.Switch.mu",
 		"sdn.TSA.mu < openflow.Switch.mu",

@@ -415,18 +415,7 @@ func (n *DPINode) Telemetry(topK int) ctlproto.Telemetry {
 		BytesScanned: s.BytesScanned,
 		Matches:      s.Matches,
 	}
-	flows := n.engineRef().FlowStats()
-	// Partial selection of the topK by matches-per-byte.
-	for k := 0; k < topK && len(flows) > 0; k++ {
-		best := 0
-		for i := 1; i < len(flows); i++ {
-			if density(flows[i]) > density(flows[best]) {
-				best = i
-			}
-		}
-		f := flows[best]
-		flows[best] = flows[len(flows)-1]
-		flows = flows[:len(flows)-1]
+	for _, f := range n.engineRef().HeavyFlows(topK, 0) {
 		tel.HeavyFlows = append(tel.HeavyFlows, ctlproto.FlowTelemetry{
 			Flow:    FlowKeyOf(f.Tuple),
 			Bytes:   f.Bytes,
@@ -434,13 +423,6 @@ func (n *DPINode) Telemetry(topK int) ctlproto.Telemetry {
 		})
 	}
 	return tel
-}
-
-func density(f core.FlowStat) float64 {
-	if f.Bytes == 0 {
-		return 0
-	}
-	return float64(f.Matches) / float64(f.Bytes)
 }
 
 // FlowKeyOf converts a five-tuple to its wire representation.
