@@ -302,8 +302,8 @@ func BenchmarkSlowdownScanVsConsume(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMatchers compares the three matcher representations
-// (the space-time tradeoff behind MCA² dedicated instances).
+// BenchmarkAblationMatchers compares full-table AC, compact AC and
+// Wu-Manber (the space-time tradeoff behind MCA² dedicated instances).
 func BenchmarkAblationMatchers(b *testing.B) {
 	set := patterns.SnortLike(patterns.SnortFullSize, benchSeed)
 	corpus := benchCorpus(set, 1<<20)
@@ -319,16 +319,11 @@ func BenchmarkAblationMatchers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bitmap, err := bd.BuildBitmap()
-	if err != nil {
-		b.Fatal(err)
-	}
 	wm, err := bd.BuildWuManber()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("ac-full", func(b *testing.B) { scanCorpus(b, full, corpus) })
-	b.Run("ac-bitmap", func(b *testing.B) { scanCorpus(b, bitmap, corpus) })
 	b.Run("ac-compact", func(b *testing.B) { scanCorpus(b, compact, corpus) })
 	b.Run("wu-manber", func(b *testing.B) {
 		var total int64

@@ -42,7 +42,7 @@ func main() {
 		advers   = flag.Bool("adversarial", false, "use the attack-mix corpus (high prefilter hit rate) for all experiments")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dpibench [flags] <fig8|table2|fig9a|fig9b|fig10a|fig10b|fig11|slowdown|parallel|prefilter|ablations|wire|trace|all> ...\n")
+		fmt.Fprintf(os.Stderr, "usage: dpibench [flags] <fig8|table2|fig9a|fig9b|fig10a|fig10b|fig11|slowdown|parallel|prefilter|ablations|all> ...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -64,8 +64,6 @@ func main() {
 		"parallel":  runParallel,
 		"prefilter": runPrefilter,
 		"ablations": runAblations,
-		"wire":      runWire,
-		"trace":     runTrace,
 	}
 	var names []string
 	for _, name := range flag.Args() {
@@ -146,28 +144,6 @@ func main() {
 		}
 		fmt.Println("no regressions beyond threshold")
 	}
-}
-
-func runWire(opt bench.Options) error {
-	fmt.Println("== Wire transport: end-to-end data plane over loopback UDP vs netsim ==")
-	rows, err := bench.Wire(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatWire(rows))
-	fmt.Println()
-	return nil
-}
-
-func runTrace(opt bench.Options) error {
-	fmt.Println("== Trace: per-stage scan latency percentiles from a fully-traced run ==")
-	rows, err := bench.TraceStages(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(bench.FormatTraceStages(rows))
-	fmt.Println()
-	return nil
 }
 
 func runFig8(opt bench.Options) error {

@@ -41,7 +41,6 @@ func main() {
 		dedicated  = flag.Bool("dedicated", false, "run as an MCA2 dedicated instance (compact automaton)")
 		telEvery   = flag.Duration("telemetry", 10*time.Second, "telemetry export interval (0 disables)")
 		leaseEvery = flag.Duration("lease", 5*time.Second, "liveness lease renewal interval (0 disables leasing; keep well under the controller's lease TTL)")
-		workers    = flag.Int("workers", 1, "scan workers per data connection (>1 pipelines: reads, scans and ordered writes overlap)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	)
 	flag.Parse()
@@ -154,7 +153,7 @@ func main() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				serveData(conn, &eng, *workers)
+				serveData(conn, &eng)
 			}()
 		}
 	}()
@@ -176,16 +175,9 @@ func main() {
 
 // serveData handles one data connection: packet in, report out. The
 // engine pointer is reloaded per packet so controller-pushed updates
-// apply without dropping the connection. With workers > 1 the
-// connection is pipelined: a reader feeds a scan worker pool and a
-// writer emits results in arrival order, so scans of different flows
-// overlap on all cores while the framed protocol stays in sequence.
-func serveData(conn net.Conn, eng *atomic.Pointer[core.Engine], workers int) {
+// apply without dropping the connection.
+func serveData(conn net.Conn, eng *atomic.Pointer[core.Engine]) {
 	defer conn.Close()
-	if workers > 1 {
-		serveDataParallel(conn, eng, workers)
-		return
-	}
 	var payload, enc []byte
 	for {
 		tag, tuple, p, err := ctlproto.ReadDataPacket(conn, payload)
@@ -216,51 +208,6 @@ func logReadErr(err error) {
 	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		log.Printf("dpinstance: data read: %v", err)
 	}
-}
-
-// serveDataParallel runs the reader → worker pool → ordered writer
-// pipeline for one connection.
-func serveDataParallel(conn net.Conn, eng *atomic.Pointer[core.Engine], workers int) {
-	pool := core.NewPool(func() *core.Engine { return eng.Load() }, workers, 0)
-	defer pool.Close()
-	// The completion queue preserves read order; the writer drains it
-	// so result frames match the request sequence.
-	pending := make(chan *core.Job, workers*8)
-	writeDone := make(chan struct{})
-	go func() {
-		defer close(writeDone)
-		var enc []byte
-		dead := false
-		for job := range pending {
-			job.Wait()
-			if dead {
-				continue // keep draining so the reader never wedges
-			}
-			if job.Err != nil {
-				log.Printf("dpinstance: inspect: %v", job.Err)
-			}
-			enc = enc[:0]
-			if job.Report != nil {
-				enc = job.Report.AppendEncoded(enc)
-			}
-			if err := ctlproto.WriteResultFrame(conn, enc); err != nil {
-				conn.Close() // unblock the reader
-				dead = true
-			}
-		}
-	}()
-	for {
-		tag, tuple, p, err := ctlproto.ReadDataPacket(conn, nil)
-		if err != nil {
-			logReadErr(err)
-			break
-		}
-		job := &core.Job{Tag: tag, Tuple: tuple, Payload: p}
-		pool.Submit(job)
-		pending <- job
-	}
-	close(pending)
-	<-writeDone
 }
 
 // opTimeout bounds every control round-trip so a hung or partitioned
@@ -307,6 +254,10 @@ func renewLeases(cl *controller.Client, id string, dedicated bool, every time.Du
 // exportAndRefresh periodically ships counters and heavy flows, and
 // re-requests the instance configuration, hot-swapping the engine when
 // the controller's version advanced (the runtime pattern-update path).
+// A failed round is logged and retried on the next tick: a controller
+// restart outlasts the client's retry budget, and giving up would leave
+// the instance on a stale configuration and invisible to MCA² while its
+// lease renewals keep it alive.
 func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs.Registry, eng *atomic.Pointer[core.Engine], fl *trace.Flight, version *uint64, every time.Duration, stop <-chan struct{}) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -319,7 +270,7 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 		init, err := helloCtx(cl, id, dedicated)
 		if err != nil {
 			log.Printf("dpinstance: refresh: %v", err)
-			return
+			continue
 		}
 		if init.Version != *version {
 			cfg, err := controller.ConfigFromInit(init)
@@ -362,7 +313,6 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 		cancel()
 		if err != nil {
 			log.Printf("dpinstance: telemetry: %v", err)
-			return
 		}
 	}
 }

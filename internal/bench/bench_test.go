@@ -177,7 +177,7 @@ func TestAblationMatchersQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
 	byName := map[string]AblationMatcherRow{}
@@ -189,9 +189,6 @@ func TestAblationMatchersQuick(t *testing.T) {
 	}
 	if byName["ac-compact"].SpaceMB >= byName["ac-full"].SpaceMB {
 		t.Error("compact AC not smaller than full AC")
-	}
-	if byName["ac-bitmap"].SpaceMB >= byName["ac-full"].SpaceMB {
-		t.Error("bitmap AC not smaller than full AC")
 	}
 	if byName["ac-full"].Mbps <= byName["ac-compact"].Mbps {
 		t.Error("full AC not faster than compact AC")
@@ -219,12 +216,8 @@ func TestAblationEngineKindsQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 || rows[0].SpaceMB <= rows[1].SpaceMB {
+	if len(rows) != 2 || rows[0].SpaceMB <= rows[1].SpaceMB {
 		t.Errorf("rows = %+v", rows)
-	}
-	// The prefiltered instance carries the full table plus the filter.
-	if rows[2].Kind != "prefilter" || rows[2].SpaceMB < rows[0].SpaceMB {
-		t.Errorf("prefilter row = %+v, want space >= full's %.1f", rows[2], rows[0].SpaceMB)
 	}
 }
 

@@ -308,9 +308,9 @@ func Fig9b(o Options) ([]Fig9Row, error) {
 
 // fig9Measure runs the three underlying measurements of one Figure 9
 // point: each half separately and the merged automaton. All three run
-// the production two-stage matcher (prefilter + exact confirm), the
-// engine's AutoPrefilter data path; sets whose patterns are unsuitable
-// compile in fallback mode and measure as plain AC.
+// the two-stage matcher (prefilter + exact confirm), mpm.PrefilteredAC;
+// sets whose patterns are unsuitable compile in fallback mode and
+// measure as plain AC.
 func fig9Measure(o Options, setA, setB, injectFrom *patterns.Set) (rA, rB, rC Result, err error) {
 	corpus := corpusFor(o, injectFrom)
 	aA, err := buildPrefiltered(setA)
@@ -661,10 +661,6 @@ func AblationMatchers(o Options) ([]AblationMatcherRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	bitmap, err := b.BuildBitmap()
-	if err != nil {
-		return nil, err
-	}
 	wm, err := b.BuildWuManber()
 	if err != nil {
 		return nil, err
@@ -673,7 +669,7 @@ func AblationMatchers(o Options) ([]AblationMatcherRow, error) {
 	for _, tc := range []struct {
 		name string
 		a    mpm.Automaton
-	}{{"ac-full", full}, {"ac-bitmap", bitmap}, {"ac-compact", compact}} {
+	}{{"ac-full", full}, {"ac-compact", compact}} {
 		r := MeasureAutomaton(tc.name, tc.a, corpus, o.Repeat)
 		rows = append(rows, AblationMatcherRow{tc.name, r.ThroughputMbps(), float64(tc.a.MemoryBytes()) / 1e6})
 	}
@@ -786,7 +782,7 @@ func AblationEngineKinds(o Options) ([]AblationKindRow, error) {
 	for _, tc := range []struct {
 		name string
 		kind core.AutomatonKind
-	}{{"full", core.AutoFull}, {"compact", core.AutoCompact}, {"prefilter", core.AutoPrefilter}} {
+	}{{"full", core.AutoFull}, {"compact", core.AutoCompact}} {
 		e, tag, err := engineFor(tc.kind, set)
 		if err != nil {
 			return nil, err

@@ -512,7 +512,7 @@ func (c *Controller) InstanceInitMsg(instanceID string, tags []uint16, compact b
 		return ctlproto.InstanceInit{}, err
 	}
 	msg := ctlproto.InstanceInit{
-		InstanceID: instanceID, Compact: compact, Decompress: cfg.Decompress,
+		InstanceID: instanceID, Compact: compact,
 		Version: c.Version(), WireKey: c.WireKey(), WireToken: c.IssueWireToken(instanceID),
 	}
 	for _, p := range cfg.Profiles {
@@ -565,7 +565,6 @@ func ConfigFromInit(init ctlproto.InstanceInit) (core.Config, error) {
 	if init.Compact {
 		cfg.Kind = core.AutoCompact
 	}
-	cfg.Decompress = init.Decompress
 	byMbox := make(map[string]int)
 	for _, pd := range init.Profiles {
 		p := core.Profile{

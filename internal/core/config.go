@@ -13,8 +13,9 @@
 //   - two-stage regular expression handling via anchor extraction with
 //     confirmation by a full regex engine, plus the direct-evaluation
 //     path for anchor-poor expressions (Section 5.3);
-//   - optional one-time gzip decompression before scanning, one of the
-//     consolidation benefits the paper highlights (Section 1).
+//   - two automaton kinds: the full-table DFA every shared instance runs
+//     (Sections 3 and 5.1) and the compact failure-link automaton of
+//     MCA² dedicated instances (Section 4.3.1).
 package core
 
 import (
@@ -32,26 +33,17 @@ import (
 // exact-match IDs and regex IDs distinct in one 15-bit space.
 const RegexReportBase = 1 << 14
 
-// AutomatonKind selects the matcher representation.
+// AutomatonKind selects the matcher representation: one of the two the
+// paper's instances run. NewEngine rejects any other value.
 type AutomatonKind int
 
 const (
 	// AutoFull selects the full-table Aho-Corasick DFA (fastest,
-	// largest; the paper's primary engine).
+	// largest; the paper's primary engine and the one kind with lanes).
 	AutoFull AutomatonKind = iota
 	// AutoCompact selects the failure-link representation used by MCA²
 	// dedicated instances (Section 4.3.1).
 	AutoCompact
-	// AutoBitmap selects the bitmap-compressed representation (Tuck et
-	// al. style), the intermediate space-time point.
-	AutoBitmap
-	// AutoPrefilter selects the two-stage matcher: a q-gram prefilter
-	// dismisses innocent payload with L1-resident probes and the full
-	// DFA confirms only candidate windows. Equivalent match-for-match to
-	// AutoFull; pattern sets the filter cannot serve (any pattern under
-	// 5 bytes, or a gram table too dense) compile in fallback mode and
-	// scan as plain AutoFull.
-	AutoPrefilter
 )
 
 // Profile describes one registered middlebox as the controller passes it
@@ -92,17 +84,11 @@ type Config struct {
 	// MinAnchorLen overrides the regex anchor extraction threshold;
 	// 0 selects the paper's default of 4.
 	MinAnchorLen int
-	// Decompress enables one-time gzip decompression of payloads that
-	// carry the gzip magic before scanning.
-	Decompress bool
 	// MaxFlows bounds the flow table; 0 selects a default of 65 536.
 	// The table is set-associative: a new flow whose eight-way bucket
 	// is full (or whose shard holds MaxFlows/Shards flows) evicts the
 	// least recently scanned flow of that bucket.
 	MaxFlows int
-	// MaxDecompressedBytes bounds decompression output per packet to
-	// contain decompression bombs; 0 selects a default of 256 KiB.
-	MaxDecompressedBytes int
 	// Shards overrides the flow-table shard count (rounded to a power
 	// of two, capped at 256); 0 scales with GOMAXPROCS. Shards bound
 	// the engine's flow-level parallelism: packets of flows in
@@ -138,10 +124,7 @@ func (e *UnknownChainError) Error() string {
 
 func (e *UnknownChainError) Unwrap() error { return ErrUnknownChain }
 
-const (
-	defaultMaxFlows        = 1 << 16
-	defaultMaxDecompressed = 256 << 10
-)
+const defaultMaxFlows = 1 << 16
 
 // validate checks cross-field invariants and applies defaults.
 func (c *Config) validate() error {
@@ -185,9 +168,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxFlows <= 0 {
 		c.MaxFlows = defaultMaxFlows
-	}
-	if c.MaxDecompressedBytes <= 0 {
-		c.MaxDecompressedBytes = defaultMaxDecompressed
 	}
 	return nil
 }

@@ -24,10 +24,6 @@ import (
 // one per core" deployment (Section 6.2, Figure 8).
 type Engine struct {
 	auto mpm.Automaton
-	// pf is the concrete two-stage matcher when Kind is AutoPrefilter
-	// (the same object as auto); the scan path uses it directly so
-	// prefilter telemetry flows without an interface indirection.
-	pf *mpm.PrefilteredAC
 	// acLanes is the concrete full-table automaton when Kind is AutoFull,
 	// the one kind with lanes: InspectBatch streams each run of packets
 	// through mpm.LaneWidth lockstep walks of it (inspectRun).
@@ -48,7 +44,6 @@ type Engine struct {
 	// order their per-scan anchor scratch is laid out in scratch.rx.
 	rxProfiles []*compiledProfile
 	chains     map[uint16]*chainInfo
-	cfg        Config
 
 	// The flow table is sharded by FiveTuple.FastHash. Each shard has
 	// its own lock, LRU clock and slice of one set-associative array of
@@ -74,10 +69,10 @@ func (e *Engine) SetFlight(f *trace.Flight) { e.fl = f }
 // StatsSnapshot is a plain-value copy of the engine's cumulative
 // counters: Packets/Bytes presented, BytesScanned fed to the
 // automaton, Matches reported post-filter, Reports produced non-empty,
-// and the flow/regex/decompression counters.
+// and the flow/regex counters.
 type StatsSnapshot struct {
-	Packets, Bytes, BytesScanned, Matches, Reports       uint64
-	FlowsEvicted, RegexConfirms, RegexHits, Decompressed uint64
+	Packets, Bytes, BytesScanned, Matches, Reports uint64
+	FlowsEvicted, RegexConfirms, RegexHits         uint64
 }
 
 type chainInfo struct {
@@ -174,7 +169,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		profiles:     make(map[int]*compiledProfile, len(cfg.Profiles)),
 		profileBySet: make([]*compiledProfile, mpm.MaxSets),
 		chains:       make(map[uint16]*chainInfo, len(cfg.Chains)),
-		cfg:          cfg,
 	}
 	b := mpm.NewBuilder()
 	bFold := mpm.NewBuilder()
@@ -246,14 +240,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	case AutoCompact:
 		auto, err = b.BuildCompact()
-	case AutoBitmap:
-		auto, err = b.BuildBitmap()
-	case AutoPrefilter:
-		var pf *mpm.PrefilteredAC
-		if pf, err = b.BuildPrefiltered(); err == nil {
-			auto = pf
-			e.pf = pf
-		}
 	default:
 		return nil, fmt.Errorf("core: unknown automaton kind %d", cfg.Kind)
 	}
@@ -271,12 +257,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if bFold.NumPatterns() > 0 {
 		var fold mpm.Automaton
-		switch cfg.Kind {
-		case AutoCompact:
+		if cfg.Kind == AutoCompact {
 			fold, err = bFold.BuildCompact()
-		case AutoBitmap:
-			fold, err = bFold.BuildBitmap()
-		default:
+		} else {
 			fold, err = bFold.BuildFull()
 		}
 		if err != nil {
@@ -341,9 +324,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	reg.Gauge("core.patterns").Set(int64(e.NumPatterns()))
 	reg.Gauge("core.states").Set(int64(e.NumStates()))
 	reg.Gauge("core.memory_bytes").Set(e.MemoryBytes())
-	if e.pf != nil && !e.pf.Fallback() {
-		reg.Gauge("core.prefilter_enabled").Set(1)
-	}
 	if e.acLanes != nil {
 		reg.Gauge("core.batch_lanes").Set(mpm.LaneWidth)
 	}
@@ -422,11 +402,10 @@ func (e *Engine) inspectOne(tag uint16, tuple packet.FiveTuple, payload []byte, 
 
 // prepare runs everything ahead of the main DFA stage of one scan: flow
 // lookup (admitting the flow on a miss) and, on stateful chains,
-// check-out, per-packet metrics, decompression, stopping conditions, and
-// report reset. The resulting scan plan is left in s.ps. It returns
-// false, having done and counted nothing, when the chain is stateful and
-// another scan has the flow checked out; the caller tries again after
-// that scan's finish.
+// check-out, per-packet metrics, stopping conditions, and report reset.
+// The resulting scan plan is left in s.ps. It returns false, having done
+// and counted nothing, when the chain is stateful and another scan has
+// the flow checked out; the caller tries again after that scan's finish.
 //
 //dpi:hotpath
 func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byte, s *scratch) bool {
@@ -442,22 +421,12 @@ func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byt
 	e.met.payloadBytes.Observe(uint64(len(payload)))
 	s.epoch++
 
-	// One-time decompression (Section 1): the service decompresses so
-	// no middlebox has to.
-	scanData := payload
-	if e.cfg.Decompress && len(payload) >= 2 && payload[0] == 0x1f && payload[1] == 0x8b {
-		if dec, err := s.decompress(payload); err == nil {
-			scanData = dec
-			e.met.decompressed.Inc()
-		}
-	}
-
 	// Determine how deep this packet must be scanned: the most
 	// conservative (deepest) stopping condition among active
 	// middleboxes (Section 5.2). The stateless part was folded into
 	// one number at engine build time; only stateful members' windows
 	// move with the flow offset.
-	limit := len(scanData)
+	limit := len(payload)
 	if !chain.anyUnlimited {
 		deepest := int64(chain.statelessStop)
 		for _, p := range chain.statefulLimited {
@@ -472,7 +441,7 @@ func (e *Engine) prepare(chain *chainInfo, tuple packet.FiveTuple, payload []byt
 
 	s.report.Reset()
 	s.cur = scanCtx{chain: chain, report: &s.report, offset: offset, fromRestore: chain.anyStateful && offset > 0}
-	s.ps.scanData, s.ps.limit = scanData, limit
+	s.ps.scanData, s.ps.limit = payload, limit
 	return true
 }
 
@@ -484,14 +453,7 @@ func (e *Engine) walk(s *scratch) {
 	if e.auto == nil || s.ps.limit == 0 {
 		return
 	}
-	data, mask := s.ps.scanData[:s.ps.limit], s.ps.chain.mask
-	if e.pf != nil {
-		// The concrete two-stage matcher, so telemetry accumulates into
-		// the scratch and finish can fold it into the counters.
-		s.ps.state = e.pf.ScanStats(data, s.ps.state, mask, s.emitFn, &s.pfStats)
-	} else {
-		s.ps.state = e.auto.Scan(data, s.ps.state, mask, s.emitFn)
-	}
+	s.ps.state = e.auto.Scan(s.ps.scanData[:s.ps.limit], s.ps.state, s.ps.chain.mask, s.emitFn)
 	e.met.bytesScanned.Add(uint64(s.ps.limit))
 }
 
@@ -506,10 +468,6 @@ func (e *Engine) walk(s *scratch) {
 func (e *Engine) finish(s *scratch, into *packet.Report) *packet.Report {
 	chain := s.ps.chain
 	scanData, limit, offset := s.ps.scanData, s.ps.limit, s.ps.offset
-	if e.pf != nil {
-		e.met.notePrefilter(&s.pfStats)
-		s.pfStats = mpm.PrefilterStats{}
-	}
 	if e.autoFold != nil && limit > 0 && chain.mask&e.foldMask != 0 {
 		s.foldBuf = appendLowerASCII(s.foldBuf[:0], scanData[:limit])
 		s.ps.foldState = e.autoFold.Scan(s.foldBuf, s.ps.foldState, chain.mask, s.emitFn)
@@ -660,7 +618,6 @@ func (e *Engine) Snapshot() StatsSnapshot {
 		FlowsEvicted:  e.met.flowsEvicted.Value(),
 		RegexConfirms: e.met.regexConfirms.Value(),
 		RegexHits:     e.met.regexHits.Value(),
-		Decompressed:  e.met.decompressed.Value(),
 	}
 }
 

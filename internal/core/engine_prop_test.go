@@ -167,27 +167,3 @@ func TestManyMiddleboxChains(t *testing.T) {
 		}
 	}
 }
-
-// TestDecompressedRegexConfirmation combines two engine features: a
-// regex whose anchors live inside a gzip-compressed payload.
-func TestDecompressedRegexConfirmation(t *testing.T) {
-	set := &patterns.Set{Name: "rx"}
-	set.Regexes = []patterns.Regex{{ID: 0, Expr: `token=[a-f0-9]{8}secret`}}
-	cfg := Config{
-		Profiles:   []Profile{{ID: 0, Patterns: set}},
-		Chains:     map[uint16][]int{1: {0}},
-		Decompress: true,
-	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := gzipBytes(t, []byte("blah token=deadbeefsecret blah"))
-	rep, err := e.Inspect(1, testTuple, gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.NumMatches() != 1 {
-		t.Fatalf("report = %+v", rep)
-	}
-}

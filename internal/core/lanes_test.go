@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -258,5 +259,54 @@ func TestBatchMatchedPathAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("matched run allocated %v allocs, want 0", allocs)
+	}
+}
+
+// TestInspectBatchMixedChains drives stateful and stateless chains plus
+// unknown tags through the lane scheduler: same-flow stateful packets
+// next to each other in one run must neither deadlock nor reorder,
+// unknown tags must error per item, and every report must match a serial
+// reference.
+func TestInspectBatchMixedChains(t *testing.T) {
+	e, err := NewEngine(twoBoxConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewEngine(twoBoxConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var items []BatchItem
+	for i := 0; i < 40; i++ {
+		tag := uint16(1 + i%2) // chain 1 is stateful, chain 2 stateless
+		if i%13 == 12 {
+			tag = 999 // unknown
+		}
+		items = append(items, BatchItem{
+			// One tuple per chain: every stateful packet finds its flow
+			// checked out by the one two items ahead of it.
+			Tag: tag, Tuple: parallelFlowTuple(int(tag)), Payload: []byte("an evil payload"),
+		})
+	}
+	// Single worker so the stateful chain sees its packets in order and
+	// the serial reference below is comparable.
+	e.InspectBatch(items, 1)
+	for i := range items {
+		if items[i].Tag == 999 {
+			if !errors.Is(items[i].Err, ErrUnknownChain) {
+				t.Fatalf("item %d: err = %v, want unknown chain", i, items[i].Err)
+			}
+			continue
+		}
+		if items[i].Err != nil {
+			t.Fatal(items[i].Err)
+		}
+		wantRep, err := ref.Inspect(items[i].Tag, items[i].Tuple, items[i].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := flatten(items[i].Report), flatten(wantRep); !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d: report %v, want %v", i, got, want)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"dpiservice/internal/mpm"
 	"dpiservice/internal/obs"
 	"dpiservice/internal/packet"
 )
@@ -25,22 +24,12 @@ type engineMetrics struct {
 	flowsEvicted  *obs.Counter
 	regexConfirms *obs.Counter
 	regexHits     *obs.Counter
-	decompressed  *obs.Counter
 	flowHits      *obs.Counter
 	flowMisses    *obs.Counter
 	// flowsUnstored counts misses scanned from the start state without
 	// being stored because every way of the flow's bucket was checked
 	// out.
 	flowsUnstored *obs.Counter
-
-	// Prefilter telemetry (AutoPrefilter engines only): probe volume,
-	// hit volume, bytes the exact automaton re-scanned, and the two
-	// escape hatches (per-scan bailouts and plain-routed scans).
-	pfProbes    *obs.Counter
-	pfHits      *obs.Counter
-	pfConfirmed *obs.Counter
-	pfBailouts  *obs.Counter
-	pfPlain     *obs.Counter
 
 	flowsActive *obs.Gauge
 
@@ -67,15 +56,9 @@ func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 		flowsEvicted:  reg.Counter("core.flows_evicted"),
 		regexConfirms: reg.Counter("core.regex_confirms"),
 		regexHits:     reg.Counter("core.regex_hits"),
-		decompressed:  reg.Counter("core.decompressed"),
 		flowHits:      reg.Counter("core.flow_hits"),
 		flowMisses:    reg.Counter("core.flow_misses"),
 		flowsUnstored: reg.Counter("core.flows_unstored"),
-		pfProbes:      reg.Counter("core.prefilter_probes"),
-		pfHits:        reg.Counter("core.prefilter_hits"),
-		pfConfirmed:   reg.Counter("core.prefilter_confirmed_bytes"),
-		pfBailouts:    reg.Counter("core.prefilter_bailouts"),
-		pfPlain:       reg.Counter("core.prefilter_plain_scans"),
 		flowsActive:   reg.Gauge("core.flows_active"),
 		payloadBytes:  reg.Histogram("core.payload_bytes", obs.SizeBounds),
 		scanNs:        reg.Histogram("core.scan_ns", obs.LatencyBounds),
@@ -86,29 +69,6 @@ func newEngineMetrics(reg *obs.Registry, shards int) *engineMetrics {
 		m.shardScans[i] = reg.Counter(fmt.Sprintf("core.shard.%03d.scans", i))
 	}
 	return m
-}
-
-// notePrefilter folds one scan's accumulated prefilter stats into the
-// cached counters. Zero fields are skipped so the common all-dismissed
-// scan costs two atomic adds, not five.
-//
-//dpi:hotpath
-func (m *engineMetrics) notePrefilter(st *mpm.PrefilterStats) {
-	if st.Probes != 0 {
-		m.pfProbes.Add(st.Probes)
-	}
-	if st.Hits != 0 {
-		m.pfHits.Add(st.Hits)
-	}
-	if st.ConfirmedBytes != 0 {
-		m.pfConfirmed.Add(st.ConfirmedBytes)
-	}
-	if st.Bailouts != 0 {
-		m.pfBailouts.Add(st.Bailouts)
-	}
-	if st.PlainScans != 0 {
-		m.pfPlain.Add(st.PlainScans)
-	}
 }
 
 // Metrics returns the engine's metrics registry — the one passed in
@@ -141,8 +101,8 @@ func (e *Engine) inspectRunTimed(items []BatchItem) {
 }
 
 // InspectStaged is Inspect with per-stage timing: it reports how long
-// the prepare stage (flow admission and check-out, decompression,
-// stopping conditions — the wire pipeline's "reassembly" stage) and the
+// the prepare stage (flow admission and check-out, stopping
+// conditions — the wire pipeline's "reassembly" stage) and the
 // scan stage (DFA traversal plus regex confirmation and flow check-in)
 // each took, for span-level tracing. The clock reads live here,
 // between the //dpi:hotpath-checked stages, so the checked scan path

@@ -38,7 +38,6 @@ func TestMetricsMatchSnapshot(t *testing.T) {
 		{"core.flows_evicted", ss.FlowsEvicted},
 		{"core.regex_confirms", ss.RegexConfirms},
 		{"core.regex_hits", ss.RegexHits},
-		{"core.decompressed", ss.Decompressed},
 	} {
 		got, ok := ms.Counter(c.name)
 		if !ok || got != c.want {

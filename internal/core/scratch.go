@@ -1,10 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"compress/gzip"
-	"io"
-
 	"dpiservice/internal/mpm"
 	"dpiservice/internal/packet"
 	"dpiservice/internal/regexengine"
@@ -12,19 +8,16 @@ import (
 
 // scratch holds every mutable structure one scan needs: the scan
 // context read by the emit callback, the report under construction, the
-// case-fold buffer, the gzip reader, and the per-profile regex anchor
-// bookkeeping. Engines hand scratches out of a sync.Pool, so concurrent
-// Inspect calls never share per-scan state and steady-state scanning
-// allocates nothing.
+// case-fold buffer, and the per-profile regex anchor bookkeeping.
+// Engines hand scratches out of a sync.Pool, so concurrent Inspect calls
+// never share per-scan state and steady-state scanning allocates
+// nothing.
 type scratch struct {
 	e       *Engine
 	cur     scanCtx
 	emitFn  mpm.EmitFunc // pre-bound s.emit, so Scan gets a stable closure
 	report  packet.Report
 	foldBuf []byte
-	gzSrc   bytes.Reader // reused source for gzRdr: no per-body reader alloc
-	gzRdr   *gzip.Reader
-	gzBuf   []byte
 	// epoch invalidates the anchor bookkeeping between scans without
 	// clearing it; it is scratch-local, bumped once per scan.
 	epoch uint64
@@ -34,13 +27,10 @@ type scratch struct {
 	// finish, so the lane scheduler can interleave the DFA stage of
 	// several prepared scans.
 	ps pscan
-	// pfStats accumulates the prefilter telemetry of the scan in
-	// progress; finish folds it into the engine counters and clears it.
-	pfStats mpm.PrefilterStats
 }
 
-// pscan is the state of one inspection between prepare (metrics,
-// decompression, flow lookup, stopping conditions, report reset) and
+// pscan is the state of one inspection between prepare (metrics, flow
+// lookup, stopping conditions, report reset) and
 // finish (fold scan, regex confirmation, flow-state store, counters).
 // For a stateful chain the flow is checked out to this scan for the
 // whole span, and state, foldState and offset are its copies.
@@ -211,30 +201,4 @@ func locMatch(c *regexengine.Compiled, data []byte) int {
 		return -1
 	}
 	return loc[1]
-}
-
-// decompress inflates a gzip payload up to the configured bound. The
-// source reader and output buffer live in the scratch, so only the
-// first compressed body a scratch ever sees pays an allocation.
-func (s *scratch) decompress(payload []byte) ([]byte, error) {
-	s.gzSrc.Reset(payload)
-	if s.gzRdr == nil {
-		//dpi:coldalloc(one gzip.Reader per pooled scratch, first compressed body only)
-		r, err := gzip.NewReader(&s.gzSrc)
-		if err != nil {
-			return nil, err
-		}
-		s.gzRdr = r
-	} else if err := s.gzRdr.Reset(&s.gzSrc); err != nil {
-		return nil, err
-	}
-	if s.gzBuf == nil {
-		//dpi:coldalloc(decompression buffer, sized once per scratch)
-		s.gzBuf = make([]byte, s.e.cfg.MaxDecompressedBytes)
-	}
-	n, err := io.ReadFull(s.gzRdr, s.gzBuf)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, err
-	}
-	return s.gzBuf[:n], nil
 }

@@ -192,7 +192,6 @@ type InstanceInit struct {
 	Profiles   []ProfileDef `json:"profiles"`
 	Chains     []ChainDef   `json:"chains"`
 	Compact    bool         `json:"compact,omitempty"`
-	Decompress bool         `json:"decompress,omitempty"`
 	// Version is the controller's configuration version the message
 	// was derived from; an instance re-requesting its configuration
 	// can skip rebuilding when it is unchanged.

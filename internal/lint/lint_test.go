@@ -194,7 +194,6 @@ func TestModule(t *testing.T) {
 		"mpm.step4",
 		"mpm.step8",
 		"mpm.ACCompact.Scan",
-		"mpm.ACBitmap.Scan",
 	} {
 		if !hot[name] {
 			t.Errorf("expected //dpi:hotpath on %s", name)

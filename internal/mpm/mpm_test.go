@@ -288,11 +288,7 @@ func buildBoth(t testing.TB, b *Builder) map[string]Automaton {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitmap, err := b.BuildBitmap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Automaton{"full": full, "compact": compact, "bitmap": bitmap}
+	return map[string]Automaton{"full": full, "compact": compact}
 }
 
 // randomPatterns generates n patterns of length [minLen,maxLen] over an

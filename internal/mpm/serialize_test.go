@@ -333,29 +333,3 @@ func TestPrefilterSnapshotRejectsCorruption(t *testing.T) {
 		b[off], b[off+1] = 0xFF, 0xFF
 	})
 }
-
-func TestBitmapMemoryBetweenCompactAndFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	b := NewBuilder()
-	if err := b.AddSet(0, randomPatterns(rng, 800, 8, 24, 26)); err != nil {
-		t.Fatal(err)
-	}
-	full, err := b.BuildFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm, err := b.BuildBitmap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, err := b.BuildCompact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(bm.MemoryBytes() < full.MemoryBytes()) {
-		t.Errorf("bitmap (%d B) not smaller than full (%d B)", bm.MemoryBytes(), full.MemoryBytes())
-	}
-	if !(compact.MemoryBytes() < bm.MemoryBytes()) {
-		t.Errorf("compact (%d B) not smaller than bitmap (%d B)", compact.MemoryBytes(), bm.MemoryBytes())
-	}
-}

@@ -1,7 +1,7 @@
 // Package pipeline is the DPI instance's data path between an ingress
 // adapter and the scan engine: decode → batch scan → encode → reply. It
 // holds the one implementation of the wire data plane's packet handler,
-// shared by cmd/dpinstance and the dpibench wire experiment; the netsim
+// used by cmd/dpinstance and the benchmark/ deployed-path run; the netsim
 // DPINode and the reassembly stage are to move behind it next (ROADMAP
 // item 1).
 package pipeline
@@ -115,8 +115,8 @@ func (p *Scanner) drain() {
 // traced scans one FlagTrace packet by itself, recording its spans: the
 // decode span runs from the datagram batch read to this dispatch (frame
 // parse, reorder, trace-ext strip, and the scans of frames ahead of it
-// in the batch); the engine's prepare stage (flow admission,
-// decompression, stopping conditions) is the wire pipeline's reassembly
+// in the batch); the engine's prepare stage (flow admission and
+// stopping conditions) is the wire pipeline's reassembly
 // analogue; the rest is the DFA scan.
 func (p *Scanner) traced(s *wire.Session, seq uint32, tag uint16, tuple packet.FiveTuple, payload []byte, traceID uint64, pktIdx uint32) {
 	decNs := s.SinceRecv()

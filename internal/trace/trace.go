@@ -39,8 +39,8 @@ type Stage uint8
 const (
 	StageSend       Stage = iota + 1 // origin: queue on the wire
 	StageDecode                      // wire receive -> frame decode -> dispatch
-	StageReassembly                  // flow admission, stream state, decompression
-	StageScan                        // prefilter/MPM DFA scan + confirmation
+	StageReassembly                  // flow admission, stream state, stopping conditions
+	StageScan                        // MPM DFA scan + regex confirmation
 	StageEncode                      // report encode + result/verdict transmit
 	StageConsume                     // middlebox verdict consumption
 )
