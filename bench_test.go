@@ -379,6 +379,37 @@ func BenchmarkWarmStart(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildFull is the instance's compile step: the merge of the
+// registered pattern sets into one full-table automaton, paid before
+// the first verdict on every instance start, failover and pattern
+// update (Sections 4, 5.1). multi-tenant is the three literal sets of
+// the benchmark module's workload of that name.
+func BenchmarkBuildFull(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sets []*patterns.Set
+	}{
+		{"snort-2000", []*patterns.Set{patterns.SnortLike(2000, 1)}},
+		{"multi-tenant", []*patterns.Set{patterns.SnortLike(2000, 1), patterns.ClamAVLike(2000, 3), patterns.SnortLike(2000, 2)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bd := mpm.NewBuilder()
+			for i, s := range bc.sets {
+				if err := bd.AddSet(i, s.Strings()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bd.BuildFull(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationBitmapFiltering scans an 8-set merged automaton with
 // 1 vs 8 sets active: the per-state bitmap should make inactive sets
 // nearly free.

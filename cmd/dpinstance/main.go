@@ -252,12 +252,17 @@ func renewLeases(cl *controller.Client, id string, dedicated bool, every time.Du
 }
 
 // exportAndRefresh periodically ships counters and heavy flows, and
-// re-requests the instance configuration, hot-swapping the engine when
-// the controller's version advanced (the runtime pattern-update path).
-// A failed round is logged and retried on the next tick: a controller
-// restart outlasts the client's retry budget, and giving up would leave
-// the instance on a stale configuration and invisible to MCA² while its
-// lease renewals keep it alive.
+// hot-swaps the engine when the controller's configuration version
+// advanced (the runtime pattern-update path). The version rides on a
+// lease renewal, so a tick with nothing changed costs one small
+// round-trip; the full configuration is fetched with a hello only when
+// the version moved, or when the controller rejects the renewal (an
+// expired lease, or a controller that no longer knows the instance),
+// since the hello also re-admits the instance. A failed round is logged
+// and retried on the next tick: a controller restart outlasts the
+// client's retry budget, and giving up would leave the instance on a
+// stale configuration and invisible to MCA² while its lease renewals
+// keep it alive.
 func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs.Registry, eng *atomic.Pointer[core.Engine], fl *trace.Flight, version *uint64, every time.Duration, stop <-chan struct{}) {
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -267,26 +272,21 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 			return
 		case <-tick.C:
 		}
-		init, err := helloCtx(cl, id, dedicated)
-		if err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+		_, current, err := cl.RenewLease(ctx, id)
+		cancel()
+		if err != nil && !controller.IsRejection(err) {
 			log.Printf("dpinstance: refresh: %v", err)
 			continue
 		}
-		if init.Version != *version {
-			cfg, err := controller.ConfigFromInit(init)
-			// The rebuilt engine keeps feeding the shared registry so
-			// scrape-side counters never reset across config updates.
-			cfg.Metrics = reg
+		if err != nil || current != *version {
+			init, err := helloCtx(cl, id, dedicated)
 			if err != nil {
-				log.Printf("dpinstance: bad update: %v", err)
-			} else if fresh, err := core.NewEngine(cfg); err != nil {
-				log.Printf("dpinstance: rebuild: %v", err)
-			} else {
-				fresh.SetFlight(fl)
-				eng.Store(fresh)
-				*version = init.Version
-				log.Printf("dpinstance %s: applied config v%d (%d patterns)",
-					id, *version, fresh.NumPatterns())
+				log.Printf("dpinstance: refresh: %v", err)
+				continue
+			}
+			if init.Version != *version {
+				applyConfig(init, id, reg, eng, fl, version)
 			}
 		}
 		engine := eng.Load()
@@ -308,11 +308,32 @@ func exportAndRefresh(cl *controller.Client, id string, dedicated bool, reg *obs
 				Bytes: f.Bytes, Matches: f.Matches,
 			})
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
+		ctx, cancel = context.WithTimeout(context.Background(), opTimeout)
 		err = cl.SendTelemetry(ctx, tel)
 		cancel()
 		if err != nil {
 			log.Printf("dpinstance: telemetry: %v", err)
 		}
 	}
+}
+
+// applyConfig builds an engine for a fetched configuration and swaps it
+// in. The rebuilt engine keeps feeding the shared registry so
+// scrape-side counters never reset across config updates.
+func applyConfig(init ctlproto.InstanceInit, id string, reg *obs.Registry, eng *atomic.Pointer[core.Engine], fl *trace.Flight, version *uint64) {
+	cfg, err := controller.ConfigFromInit(init)
+	if err != nil {
+		log.Printf("dpinstance: bad update: %v", err)
+		return
+	}
+	cfg.Metrics = reg
+	fresh, err := core.NewEngine(cfg)
+	if err != nil {
+		log.Printf("dpinstance: rebuild: %v", err)
+		return
+	}
+	fresh.SetFlight(fl)
+	eng.Store(fresh)
+	*version = init.Version
+	log.Printf("dpinstance %s: applied config v%d (%d patterns)", id, *version, fresh.NumPatterns())
 }

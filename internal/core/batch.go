@@ -11,10 +11,12 @@ import (
 
 // This file is the multi-core data-plane entry points: InspectBatch
 // fans a slice of packets across worker goroutines, and Pool is the
-// persistent worker-pool variant the instance daemons use. Both lean on
-// Inspect being re-entrant (sharded flow table, pooled scratch), so one
-// engine reproduces the paper's "k VMs = k engines" scaling in-process
-// (Section 6.2, Figure 8).
+// persistent worker-pool variant. No daemon runs Pool: the wire data
+// plane calls InspectBatch with one worker, and Pool's callers are the
+// netsim DPINode (internal/middlebox) and the benchmark module's layer
+// rows. Both lean on Inspect being re-entrant (sharded flow table,
+// pooled scratch), so one engine reproduces the paper's "k VMs = k
+// engines" scaling in-process (Section 6.2, Figure 8).
 
 // BatchItem couples one packet with its result slot for InspectBatch.
 type BatchItem struct {

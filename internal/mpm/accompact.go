@@ -34,41 +34,27 @@ func (b *Builder) BuildCompact() (*ACCompact, error) {
 	}
 	oldToNew, newToOld, numAccepting := t.renumber()
 
-	n := len(t.children)
+	n := t.numStates()
 	a := &ACCompact{
 		edgeStart:    make([]int32, n+1),
+		edgeLabels:   make([]byte, 0, n-1),
+		edgeTargets:  make([]int32, 0, n-1),
 		fail:         make([]int32, n),
 		match:        t.matchTable(newToOld, numAccepting),
 		numAccepting: numAccepting,
 		numPatterns:  len(b.patterns),
 		startState:   oldToNew[0],
 	}
-	totalEdges := 0
-	for _, ch := range t.children {
-		totalEdges += len(ch)
-	}
-	a.edgeLabels = make([]byte, 0, totalEdges)
-	a.edgeTargets = make([]int32, 0, totalEdges)
-
-	// Lay out edges grouped by new state ID, labels sorted within each
-	// state.
+	// Lay out edges grouped by new state ID; the trie's labels already
+	// ascend within each state. Every state but the root has one
+	// incoming edge.
 	for newID := int32(0); newID < int32(n); newID++ {
 		a.edgeStart[newID] = int32(len(a.edgeLabels))
 		old := newToOld[newID]
 		a.fail[newID] = oldToNew[t.fail[old]]
-		ch := t.children[old]
-		if len(ch) == 0 {
-			continue
-		}
-		var labels [256]bool
-		for c := range ch {
-			labels[c] = true
-		}
-		for c := 0; c < 256; c++ {
-			if labels[c] {
-				a.edgeLabels = append(a.edgeLabels, byte(c))
-				a.edgeTargets = append(a.edgeTargets, oldToNew[ch[byte(c)]])
-			}
+		for c := t.kids[old]; c < t.kids[old+1]; c++ {
+			a.edgeLabels = append(a.edgeLabels, t.label[c])
+			a.edgeTargets = append(a.edgeTargets, oldToNew[c])
 		}
 	}
 	a.edgeStart[n] = int32(len(a.edgeLabels))

@@ -42,7 +42,7 @@ func (b *Builder) BuildFull() (*ACFull, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileFull(t, len(b.patterns), len(t.children) > maxNarrowStates), nil
+	return compileFull(t, len(b.patterns), t.numStates() > maxNarrowStates), nil
 }
 
 // compileFull lays the trie out as a table of uint32 entries when wide,
@@ -52,7 +52,7 @@ func compileFull(t *trie, numPatterns int, wide bool) *ACFull {
 	a := &ACFull{
 		match:        t.matchTable(newToOld, numAccepting),
 		numAccepting: numAccepting,
-		numStates:    len(t.children),
+		numStates:    t.numStates(),
 		numPatterns:  numPatterns,
 		startState:   oldToNew[0],
 	}
@@ -61,12 +61,10 @@ func compileFull(t *trie, numPatterns int, wide bool) *ACFull {
 	// there is no class 0 to keep and they are numbered from it.
 	var used [256]bool
 	alphabet := 0
-	for _, ch := range t.children {
-		for c := range ch {
-			if !used[c] {
-				used[c] = true
-				alphabet++
-			}
+	for _, c := range t.label[1:] {
+		if !used[c] {
+			used[c] = true
+			alphabet++
 		}
 	}
 	if alphabet < 256 {
@@ -90,7 +88,7 @@ func compileFull(t *trie, numPatterns int, wide bool) *ACFull {
 // copies the failure target's (already complete) row entry. The root's
 // missing edges self-loop.
 func fillRows[S stateID](t *trie, oldToNew []int32, classOf *[256]uint8, stride int) []S {
-	next := make([]S, len(t.children)*stride)
+	next := make([]S, t.numStates()*stride)
 	rowOf := func(old int32) []S {
 		at := int(oldToNew[old]) * stride
 		return next[at : at+stride]
@@ -99,13 +97,13 @@ func fillRows[S stateID](t *trie, oldToNew []int32, classOf *[256]uint8, stride 
 	for i := range rootRow {
 		rootRow[i] = S(oldToNew[0])
 	}
-	for _, s := range t.bfs {
+	for s := range int32(t.numStates()) {
 		row := rowOf(s)
 		if s != 0 {
 			copy(row, rowOf(t.fail[s]))
 		}
-		for c, child := range t.children[s] {
-			row[classOf[c]] = S(oldToNew[child])
+		for c := t.kids[s]; c < t.kids[s+1]; c++ {
+			row[classOf[t.label[c]]] = S(oldToNew[c])
 		}
 	}
 	return next

@@ -154,7 +154,9 @@ func FuzzScanLanes(f *testing.F) {
 // naive matcher finds, whole or cut in two packets with the state
 // carried, and the lanes agree with the solo scan (checkAgainstNaive).
 // The compact automaton, the engine's other kind, must find the same
-// on the same input, whole and cut. Both the patterns and the payload
+// on the same input, whole and cut, and the flat-array trie both are
+// compiled from must equal the direct construction state by state
+// (checkTrieAgainstReference). Both the patterns and the payload
 // are the fuzzer's: pats is read as length-prefixed strings
 // (1 to 8 bytes, at most 64 of them, dealt to three sets), and the
 // payload is cut at 4 KiB, which bounds the naive matcher's match list.
@@ -182,6 +184,7 @@ func FuzzACFullEquivalence(f *testing.F) {
 			return
 		}
 		data = data[:min(len(data), 4096)]
+		checkTrieAgainstReference(t, b)
 		a, err := b.BuildFull()
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@
 // holds the one implementation of the wire data plane's packet handler,
 // used by cmd/dpinstance and the benchmark/ deployed-path run; the netsim
 // DPINode and the reassembly stage are to move behind it next (ROADMAP
-// item 1).
+// item 4).
 package pipeline
 
 import (

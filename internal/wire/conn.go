@@ -224,32 +224,61 @@ func (c *Conn) writeOut(dgs []Datagram) {
 	}
 }
 
+// helloResend is the Hello retry cadence while the server stays silent.
+const helloResend = 25 * time.Millisecond
+
 // Start launches the service goroutines and performs the Hello
-// handshake, retrying until the server acks or timeout expires.
+// handshake, resending every helloResend until the server acks or
+// timeout expires. It returns as soon as the receive loop has seen the
+// ack.
 func (c *Conn) Start(timeout time.Duration) error {
 	c.met.sessionDelta(1)
 	c.wg.Add(2)
 	go c.recvLoop()
 	go c.tickLoop()
 	deadline := time.Now().Add(timeout)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		c.mu.Lock()
 		if c.helloOK {
-			c.mu.Unlock()
 			return nil
 		}
 		if err := c.stateErr(); err != nil {
-			c.mu.Unlock()
 			return err
 		}
 		c.st.stage(Header{Type: THello, Token: c.token}, []byte(c.id))
 		c.st.flush()
-		c.mu.Unlock()
-		if time.Now().After(deadline) {
+		now := time.Now()
+		if now.After(deadline) {
 			return ErrTimeout
 		}
-		time.Sleep(25 * time.Millisecond)
+		resend := now.Add(helloResend)
+		if resend.After(deadline) {
+			resend = deadline
+		}
+		c.waitUntil(resend, func() bool { return c.helloOK })
 	}
+}
+
+// waitUntil blocks on cond until done holds, the conn fails, or the
+// clock reaches at. The receive loop broadcasts after every batch and
+// the ticker every RTOBase/4; a timer covers the instant at itself.
+// Caller holds mu.
+func (c *Conn) waitUntil(at time.Time, done func() bool) {
+	timer := time.AfterFunc(time.Until(at), c.wake)
+	defer timer.Stop()
+	for !done() && c.stateErr() == nil && time.Now().Before(at) {
+		c.cond.Wait()
+	}
+}
+
+// wake is waitUntil's timer: it runs on the timer's goroutine. Taking
+// mu orders the broadcast after the waiter's check of the clock, so the
+// wakeup cannot fall between that check and Wait.
+func (c *Conn) wake() {
+	c.mu.Lock()
+	c.mu.Unlock()
+	c.cond.Broadcast()
 }
 
 // stateErr returns the sticky failure, if any. Caller holds mu.
@@ -436,23 +465,22 @@ func (c *Conn) Flush() {
 }
 
 // WaitIdle blocks until every sent frame has been acked, the session
-// fails, or timeout expires.
+// fails, or timeout expires. It returns as soon as the receive loop has
+// processed the last ack.
 func (c *Conn) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.ep.InFlight() > 0 || c.st.n > 0 {
-		if err := c.stateErr(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return ErrTimeout
-		}
-		c.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		c.mu.Lock()
+	c.st.flush()
+	idle := func() bool { return c.ep.InFlight() == 0 && c.st.n == 0 }
+	c.waitUntil(deadline, idle)
+	if idle() {
+		return c.err
 	}
-	return c.err
+	if err := c.stateErr(); err != nil {
+		return err
+	}
+	return ErrTimeout
 }
 
 // Stats snapshots the endpoint protocol counters.
