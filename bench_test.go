@@ -40,39 +40,41 @@ func benchCorpus(set *patterns.Set, totalBytes int) [][]byte {
 	return g.Corpus(totalBytes)
 }
 
-func buildAC(b *testing.B, sets ...*patterns.Set) *mpm.ACFull {
+// newEngine is bench.EngineFor: one chain, tag 1, over one full-table
+// profile per set.
+func newEngine(b *testing.B, sets ...*patterns.Set) *core.Engine {
 	b.Helper()
-	bd := mpm.NewBuilder()
-	for i, s := range sets {
-		if err := bd.AddSet(i, s.Strings()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	a, err := bd.BuildFull()
+	e, _, err := bench.EngineFor(core.AutoFull, sets...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return a
+	return e
 }
 
-func scanCorpus(b *testing.B, a mpm.Automaton, corpus [][]byte) {
+// benchEngines scans b.N passes of the corpus through each engine in
+// turn with bench.MeasureEngine — runs of bench.ScanRun packets through
+// InspectBatch, the deployed instance's scan — so MB/s is the corpus
+// rate of one core running all of them (one engine: a middlebox or the
+// merged service; two: a pipeline scanning every packet twice).
+func benchEngines(b *testing.B, corpus [][]byte, engines ...*core.Engine) {
 	b.Helper()
 	var total int64
 	for _, p := range corpus {
 		total += int64(len(p))
 	}
-	emit := func(refs []mpm.PatternRef, end int) {}
+	var mem int64
+	for _, e := range engines {
+		mem += e.MemoryBytes()
+	}
 	b.SetBytes(total)
+	b.ReportMetric(float64(mem)/1e6, "MB")
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		state := a.Start()
-		for _, p := range corpus {
-			state = a.Scan(p, state, mpm.AllSets, emit)
-		}
+	for _, e := range engines {
+		bench.MeasureEngine(b.Name(), e, 1, corpus, 64, b.N, 1)
 	}
 }
 
-// BenchmarkFig8PatternCount is Figure 8's dominant effect: AC
+// BenchmarkFig8PatternCount is Figure 8's dominant effect: scan
 // throughput versus the number of patterns. (The virtualization
 // comparison, which needs wall-clock goroutine plumbing, lives in
 // cmd/dpibench fig8.)
@@ -80,11 +82,8 @@ func BenchmarkFig8PatternCount(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000, patterns.ClamAVFullSize} {
 		set := patterns.ClamAVLike(n, benchSeed)
 		corpus := benchCorpus(set, 1<<20)
-		a := buildAC(b, set)
-		b.Run(name("patterns", n), func(b *testing.B) {
-			b.ReportMetric(float64(a.MemoryBytes())/1e6, "MB")
-			scanCorpus(b, a, corpus)
-		})
+		e := newEngine(b, set)
+		b.Run(name("patterns", n), func(b *testing.B) { benchEngines(b, corpus, e) })
 	}
 }
 
@@ -105,11 +104,8 @@ func BenchmarkTable2(b *testing.B) {
 		{"Snort2", halves[1:]},
 		{"Snort1+Snort2", halves},
 	} {
-		a := buildAC(b, tc.sets...)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportMetric(float64(a.MemoryBytes())/1e6, "MB")
-			scanCorpus(b, a, corpus)
-		})
+		e := newEngine(b, tc.sets...)
+		b.Run(tc.name, func(b *testing.B) { benchEngines(b, corpus, e) })
 	}
 }
 
@@ -125,27 +121,10 @@ func BenchmarkFig9aPipelineVsVirtual(b *testing.B) {
 		b.Fatal(err)
 	}
 	corpus := benchCorpus(full, 1<<20)
-	a1, a2 := buildAC(b, halves[0]), buildAC(b, halves[1])
-	comb := buildAC(b, halves[0], halves[1])
-	b.Run("pipeline", func(b *testing.B) {
-		var total int64
-		for _, p := range corpus {
-			total += int64(len(p))
-		}
-		emit := func(refs []mpm.PatternRef, end int) {}
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s1, s2 := a1.Start(), a2.Start()
-			for _, p := range corpus {
-				s1 = a1.Scan(p, s1, mpm.AllSets, emit)
-				s2 = a2.Scan(p, s2, mpm.AllSets, emit)
-			}
-		}
-	})
-	b.Run("virtual-combined", func(b *testing.B) {
-		scanCorpus(b, comb, corpus)
-	})
+	e1, e2 := newEngine(b, halves[0]), newEngine(b, halves[1])
+	comb := newEngine(b, halves[0], halves[1])
+	b.Run("pipeline", func(b *testing.B) { benchEngines(b, corpus, e1, e2) })
+	b.Run("virtual-combined", func(b *testing.B) { benchEngines(b, corpus, comb) })
 }
 
 // BenchmarkFig9bSnortPlusClamAV is Figure 9(b)'s heavyweight point:
@@ -157,27 +136,10 @@ func BenchmarkFig9bSnortPlusClamAV(b *testing.B) {
 	snort := patterns.SnortLike(patterns.SnortFullSize, benchSeed)
 	clam := patterns.ClamAVLike(patterns.ClamAVFullSize, benchSeed)
 	corpus := benchCorpus(snort, 1<<20)
-	aS, aC := buildAC(b, snort), buildAC(b, clam)
-	comb := buildAC(b, snort, clam)
-	b.Run("pipeline", func(b *testing.B) {
-		var total int64
-		for _, p := range corpus {
-			total += int64(len(p))
-		}
-		emit := func(refs []mpm.PatternRef, end int) {}
-		b.SetBytes(total)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s1, s2 := aS.Start(), aC.Start()
-			for _, p := range corpus {
-				s1 = aS.Scan(p, s1, mpm.AllSets, emit)
-				s2 = aC.Scan(p, s2, mpm.AllSets, emit)
-			}
-		}
-	})
-	b.Run("virtual-combined", func(b *testing.B) {
-		scanCorpus(b, comb, corpus)
-	})
+	eS, eC := newEngine(b, snort), newEngine(b, clam)
+	comb := newEngine(b, snort, clam)
+	b.Run("pipeline", func(b *testing.B) { benchEngines(b, corpus, eS, eC) })
+	b.Run("virtual-combined", func(b *testing.B) { benchEngines(b, corpus, comb) })
 }
 
 // BenchmarkFig10Regions measures the three throughputs from which the
@@ -198,8 +160,8 @@ func BenchmarkFig10Regions(b *testing.B) {
 		{"rect-sideB", halves[1:]},
 		{"triangle-combined", halves},
 	} {
-		a := buildAC(b, tc.sets...)
-		b.Run(tc.name, func(b *testing.B) { scanCorpus(b, a, corpus) })
+		e := newEngine(b, tc.sets...)
+		b.Run(tc.name, func(b *testing.B) { benchEngines(b, corpus, e) })
 	}
 }
 
@@ -238,63 +200,41 @@ func BenchmarkFig11ReportBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSlowdownScanVsConsume is the Section 1 footnote: the
-// per-packet cost of scanning versus consuming a prebuilt result.
+// BenchmarkSlowdownScanVsConsume is the Section 1 footnote: the cost
+// of a corpus pass scanned in the box (the deployed scan) versus one
+// consumed from prebuilt results (decode and count).
 func BenchmarkSlowdownScanVsConsume(b *testing.B) {
 	set := patterns.SnortLike(patterns.SnortFullSize, benchSeed)
 	corpus := benchCorpus(set, 1<<20)
-	cfg := core.Config{
-		Profiles: []core.Profile{{ID: 0, Name: "ids", Patterns: set}},
-		Chains:   map[uint16][]int{1: {0}},
-	}
+	e := newEngine(b, set)
 	tuple := packet.FiveTuple{Src: packet.IP4{10, 0, 0, 1}, Dst: packet.IP4{10, 0, 0, 2}, DstPort: 80, Protocol: packet.IPProtoTCP}
-
-	b.Run("middlebox-with-dpi", func(b *testing.B) {
-		e, err := core.NewEngine(cfg)
+	reports := make([][]byte, len(corpus))
+	for j, p := range corpus {
+		tuple.SrcPort = uint16(j)
+		rep, err := e.Inspect(1, tuple, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		n := 0
-		for i := 0; i < b.N; i++ {
-			p := corpus[n%len(corpus)]
-			tuple.SrcPort = uint16(n)
-			if _, err := e.Inspect(1, tuple, p); err != nil {
-				b.Fatal(err)
-			}
-			n++
+		if rep != nil {
+			reports[j] = rep.AppendEncoded(nil)
 		}
-	})
+	}
+	b.Run("middlebox-with-dpi", func(b *testing.B) { benchEngines(b, corpus, e) })
 	b.Run("middlebox-consuming-results", func(b *testing.B) {
-		e, err := core.NewEngine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reports := make([][]byte, len(corpus))
-		for j, p := range corpus {
-			tuple.SrcPort = uint16(j)
-			rep, err := e.Inspect(1, tuple, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep != nil {
-				reports[j] = rep.AppendEncoded(nil)
-			}
-		}
 		var rep packet.Report
 		var rules uint64
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			enc := reports[i%len(reports)]
-			if enc == nil {
-				continue
-			}
-			if _, err := packet.DecodeReport(enc, &rep); err != nil {
-				b.Fatal(err)
-			}
-			if sec := rep.SectionFor(0); sec != nil {
-				for _, en := range sec.Entries {
-					rules += uint64(en.Count)
+			for _, enc := range reports {
+				if enc == nil {
+					continue
+				}
+				if _, err := packet.DecodeReport(enc, &rep); err != nil {
+					b.Fatal(err)
+				}
+				if sec := rep.SectionFor(0); sec != nil {
+					for _, en := range sec.Entries {
+						rules += uint64(en.Count)
+					}
 				}
 			}
 		}
@@ -323,16 +263,22 @@ func BenchmarkAblationMatchers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("ac-full", func(b *testing.B) { scanCorpus(b, full, corpus) })
-	b.Run("ac-compact", func(b *testing.B) { scanCorpus(b, compact, corpus) })
+	var total int64
+	for _, p := range corpus {
+		total += int64(len(p))
+	}
+	for _, tc := range []struct {
+		name string
+		a    mpm.Automaton
+	}{{"ac-full", full}, {"ac-compact", compact}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(total)
+			bench.MeasureAutomaton(tc.name, tc.a, corpus, b.N)
+		})
+	}
 	b.Run("wu-manber", func(b *testing.B) {
-		var total int64
-		for _, p := range corpus {
-			total += int64(len(p))
-		}
 		emit := func(refs []mpm.PatternRef, end int) {}
 		b.SetBytes(total)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, p := range corpus {
 				wm.Find(p, emit)
@@ -463,33 +409,14 @@ func BenchmarkEngineStatefulVsStateless(b *testing.B) {
 		if stateful {
 			nm = "stateful"
 		}
-		b.Run(nm, func(b *testing.B) {
-			cfg := core.Config{
-				Profiles: []core.Profile{{ID: 0, Stateful: stateful, Patterns: set}},
-				Chains:   map[uint16][]int{1: {0}},
-			}
-			e, err := core.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := bench.MeasureEngine(nm, e, 1, corpus, 64, 1)
-			_ = r
-			tuple := packet.FiveTuple{Src: packet.IP4{1, 1, 1, 1}, Dst: packet.IP4{2, 2, 2, 2}, DstPort: 80, Protocol: packet.IPProtoTCP}
-			var total int64
-			for _, p := range corpus {
-				total += int64(len(p))
-			}
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, p := range corpus {
-					tuple.SrcPort = uint16(j % 64)
-					if _, err := e.Inspect(1, tuple, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+		e, err := core.NewEngine(core.Config{
+			Profiles: []core.Profile{{ID: 0, Stateful: stateful, Patterns: set}},
+			Chains:   map[uint16][]int{1: {0}},
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(nm, func(b *testing.B) { benchEngines(b, corpus, e) })
 	}
 }
 
@@ -583,21 +510,29 @@ func BenchmarkInspectBatch(b *testing.B) {
 
 // BenchmarkScanLanes compares the DFA stage of a run of packets scanned
 // one after another with the same run streamed through the lanes
-// (mpm.ACFull.ScanLanes), on two corpora cut into runs of 13 packets —
-// what one receive batch hands the wire data plane: the HTTP mix of
+// (mpm.ACFull.ScanLanes), on two corpora cut into runs of
+// bench.ScanRun packets — what one receive batch hands the wire data
+// plane: the HTTP mix of
 // ragged lengths, whose walks stay near the root (cache-resident rows),
 // and an attack mix of 1400-byte payloads packed with pattern text,
 // whose walks stay in deep states (a row miss on most bytes).
 func BenchmarkScanLanes(b *testing.B) {
 	set := patterns.SnortLike(2000, benchSeed)
-	a := buildAC(b, set)
+	bd := mpm.NewBuilder()
+	if err := bd.AddSet(0, set.Strings()); err != nil {
+		b.Fatal(err)
+	}
+	a, err := bd.BuildFull()
+	if err != nil {
+		b.Fatal(err)
+	}
 	attack := traffic.NewGenerator(traffic.Config{
 		Seed: benchSeed + 7, Mix: traffic.AttackMix, InjectPatterns: set.Strings(),
 		MinPayload: 1400, MaxPayload: 1400,
 	}).Corpus(1 << 20)
 	http := benchCorpus(set, 1<<20)
 	emit := func(refs []mpm.PatternRef, end int) {}
-	const run = 13
+	const run = bench.ScanRun
 	for _, bc := range []struct {
 		name   string
 		corpus [][]byte

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
+
+	"dpiservice/internal/core"
+	"dpiservice/internal/patterns"
 )
 
 var quick = Options{Quick: true, Seed: 5}
@@ -51,16 +55,10 @@ func TestTable2Quick(t *testing.T) {
 }
 
 func TestFig9aQuick(t *testing.T) {
+	assertFig9(t, Fig9a)
 	rows, err := Fig9a(quick)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if r.VirtualMbps <= r.PipelineMbps {
-			t.Errorf("virtual DPI (%.0f) not faster than pipeline (%.0f) at %d patterns — "+
-				"the paper's headline result must hold in shape",
-				r.VirtualMbps, r.PipelineMbps, r.TotalPatterns)
-		}
 	}
 	if s := FormatFig9(rows); !strings.Contains(s, "pipeline") {
 		t.Errorf("FormatFig9 output %q", s)
@@ -78,11 +76,17 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-func TestFig9bQuick(t *testing.T) {
+func TestFig9bQuick(t *testing.T) { assertFig9(t, Fig9b) }
+
+// assertFig9 checks the paper's headline result in shape at every point
+// of a Figure 9 sweep: two virtual-DPI instances outrun the pipeline of
+// two middleboxes, on the medians of timingTrials runs of the sweep.
+func assertFig9(t *testing.T, fig func(Options) ([]Fig9Row, error)) {
+	t.Helper()
 	var virtual, pipeline [][]float64 // [row][trial]
 	var totals []int
 	for trial := 0; trial < timingTrials; trial++ {
-		rows, err := Fig9b(quick)
+		rows, err := fig(quick)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +103,8 @@ func TestFig9bQuick(t *testing.T) {
 	}
 	for i, total := range totals {
 		if v, p := median(virtual[i]), median(pipeline[i]); v <= p {
-			t.Errorf("virtual (%.0f) <= pipeline (%.0f) at %d, medians of %d trials", v, p, total, timingTrials)
+			t.Errorf("virtual DPI (%.0f) not faster than pipeline (%.0f) at %d patterns, medians of %d trials — "+
+				"the paper's headline result must hold in shape", v, p, total, timingTrials)
 		}
 	}
 }
@@ -256,36 +261,96 @@ func TestAblationEngineKindsQuick(t *testing.T) {
 	}
 }
 
-func TestPrefilterQuick(t *testing.T) {
-	rows, err := Prefilter(quick)
+func TestLanesQuick(t *testing.T) {
+	results, err := Lanes(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %+v", rows)
+	if len(results) != 2 || results[0].Name != "low" || results[1].Name != "adversarial" {
+		t.Fatalf("results = %+v", results)
 	}
-	byKey := map[string]PrefilterRow{}
-	for _, r := range rows {
-		if r.Mbps <= 0 {
+	for _, r := range results {
+		if r.ThroughputMbps() <= 0 {
 			t.Errorf("no throughput: %+v", r)
 		}
-		byKey[r.Corpus+"/"+r.Matcher] = r
 	}
-	// Equivalence: both matchers must report identical match counts on
-	// both corpora.
-	for _, c := range []string{"low-match", "adversarial"} {
-		if a, p := byKey[c+"/ac"], byKey[c+"/prefilter"]; a.Matches != p.Matches {
-			t.Errorf("%s: ac found %d matches, prefilter %d", c, a.Matches, p.Matches)
+	// The attack mix is packed with pattern text.
+	if low, adv := results[0], results[1]; adv.Matches <= low.Matches {
+		t.Errorf("matches: adversarial %d <= low-match %d", adv.Matches, low.Matches)
+	}
+}
+
+// TestMeasureEngineCountsOnlyItsOwnScan measures twice on one engine:
+// the second result must not include the first's matches or packets.
+func TestMeasureEngineCountsOnlyItsOwnScan(t *testing.T) {
+	set := patterns.SnortLike(400, 5)
+	e, tag, err := EngineFor(core.AutoFull, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := corpusFor(Options{Seed: 5, CorpusBytes: 64 << 10}, set)
+	first := MeasureEngine("first", e, tag, corpus, benchFlows, 2, 1)
+	second := MeasureEngine("second", e, tag, corpus, benchFlows, 2, 2)
+	if first.Matches == 0 || second.Matches != first.Matches {
+		t.Errorf("matches: first %d, second %d, want equal and nonzero", first.Matches, second.Matches)
+	}
+	for _, r := range []Result{first, second} {
+		if got, _ := r.Metrics.Counter("core.packets"); got != uint64(r.Packets) {
+			t.Errorf("%s: core.packets = %d, measured %d packets", r.Name, got, r.Packets)
+		}
+		if h, _ := r.Metrics.Histogram("core.scan_ns"); h.Count != uint64(r.Packets) {
+			t.Errorf("%s: core.scan_ns count = %d, measured %d packets", r.Name, h.Count, r.Packets)
 		}
 	}
-	// The adversarial corpus must exercise the prefilter much harder
-	// than the low-match one.
-	low, adv := byKey["low-match/prefilter"], byKey["adversarial/prefilter"]
-	if low.HitPct >= adv.HitPct {
-		t.Errorf("hit rates: low-match %.2f%% >= adversarial %.2f%%", low.HitPct, adv.HitPct)
-	}
-	if s := FormatPrefilter(rows); !strings.Contains(s, "prefilter/ac") {
-		t.Errorf("FormatPrefilter output %q", s)
+}
+
+// TestMeasureEngineRunsMatchInspect is the measurement's fixture check:
+// for a stateless and a stateful chain, every packet of the runs
+// MeasureEngine scans gets the report a per-packet Inspect on a fresh
+// engine gives it, and no item carries an error.
+func TestMeasureEngineRunsMatchInspect(t *testing.T) {
+	set := patterns.SnortLike(400, 5)
+	corpus := corpusFor(Options{Seed: 5, CorpusBytes: 64 << 10}, set)
+	for _, stateful := range []bool{false, true} {
+		cfg := core.Config{
+			Profiles: []core.Profile{{ID: 0, Name: "ids", Stateful: stateful, Patterns: set}},
+			Chains:   map[uint16][]int{1: {0}},
+		}
+		measured, err := core.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := core.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []core.BatchItem
+		r := measureRuns("fixture", measured, 1, corpus, 8, 1, func(its []core.BatchItem) {
+			scanPass(measured, its, 1)
+			items = its
+		})
+		matched := 0
+		for i := range items {
+			it := &items[i]
+			if it.Err != nil {
+				t.Fatalf("stateful=%v item %d: %v", stateful, i, it.Err)
+			}
+			want, err := ref.Inspect(1, it.Tuple, it.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (want == nil) != (it.Report == nil) ||
+				want != nil && !bytes.Equal(want.AppendEncoded(nil), it.Report.AppendEncoded(nil)) {
+				t.Fatalf("stateful=%v item %d: run report %v, Inspect %v", stateful, i, it.Report, want)
+			}
+			if want != nil {
+				matched++
+			}
+		}
+		if matched == 0 || r.Matches != ref.Snapshot().Matches {
+			t.Errorf("stateful=%v: %d matched packets, measured %d matches, Inspect %d",
+				stateful, matched, r.Matches, ref.Snapshot().Matches)
+		}
 	}
 }
 

@@ -21,13 +21,14 @@ type Options struct {
 	CorpusBytes int  // payload bytes per measurement; default 4 MiB
 	Repeat      int  // corpus passes per measurement; default 1
 	Quick       bool // shrink pattern counts and corpus for tests
-	// Trials makes Collect keep the best (highest-throughput) of N runs
-	// per record, damping scheduler and GC noise for the CI regression
-	// gate; default 1. The figure/table drivers ignore it.
+	// Trials makes Collect keep the median-throughput of N runs per
+	// record, damping machine noise for the CI regression gate;
+	// default 1. The figure/table drivers ignore it.
 	Trials int
 	// Adversarial switches corpus construction to the attack mix:
-	// payloads densely packed with pattern material, the worst case for
-	// the prefilter (near-100% candidate rate, constant confirm work).
+	// payloads densely packed with pattern material, the DFA's worst
+	// case — walks stay in deep states, so most bytes miss the cache in
+	// the transition table, and nearly every packet carries a report.
 	Adversarial bool
 }
 
@@ -49,11 +50,15 @@ func (o *Options) defaults() {
 	}
 }
 
+// benchFlows is how many flow tuples the figure measurements rotate
+// over.
+const benchFlows = 64
+
 // corpusFor builds the HTTP-mix corpus used across experiments, with a
 // sub-10% match fraction drawn from the given pattern set (Section 6.5:
 // over 90% of trace packets have no matches). With Options.Adversarial
 // it builds the attack mix instead: payloads stitched from pattern
-// fragments, so nearly every prefilter window flags.
+// fragments.
 func corpusFor(o Options, set *patterns.Set) [][]byte {
 	var inject []string
 	if set != nil {
@@ -74,55 +79,54 @@ func corpusFor(o Options, set *patterns.Set) [][]byte {
 	return g.Corpus(o.CorpusBytes)
 }
 
-// buildFull builds a full-table automaton over one set.
-func buildFull(set *patterns.Set) (*mpm.ACFull, error) {
-	b := mpm.NewBuilder()
-	if err := b.AddSet(0, set.Strings()); err != nil {
-		return nil, err
-	}
-	return b.BuildFull()
-}
-
-// buildCombined builds a full-table automaton over several sets.
-func buildCombined(sets ...*patterns.Set) (*mpm.ACFull, error) {
-	b := mpm.NewBuilder()
-	for i, s := range sets {
-		if err := b.AddSet(i, s.Strings()); err != nil {
-			return nil, err
-		}
-	}
-	return b.BuildFull()
-}
-
-// buildPrefiltered builds a two-stage prefiltered automaton over several
-// sets. BuildPrefiltered never fails on pattern shape — unsuitable sets
-// compile in fallback mode and scan like plain AC.
-func buildPrefiltered(sets ...*patterns.Set) (*mpm.PrefilteredAC, error) {
-	b := mpm.NewBuilder()
-	for i, s := range sets {
-		if err := b.AddSet(i, s.Strings()); err != nil {
-			return nil, err
-		}
-	}
-	return b.BuildPrefiltered()
-}
-
-// engineFor wraps pattern sets into a one-chain service instance.
-func engineFor(kind core.AutomatonKind, sets ...*patterns.Set) (*core.Engine, uint16, error) {
+// EngineFor wraps pattern sets into a service instance with one chain
+// (the returned tag) over one middlebox profile per set. A set larger
+// than a profile's pattern-ID space (core.RegexReportBase) registers as
+// several profiles of at most that many patterns, as a middlebox of
+// that size must with the deployed instance; the merged automaton, and
+// so the scan, is the same.
+func EngineFor(kind core.AutomatonKind, sets ...*patterns.Set) (*core.Engine, uint16, error) {
 	cfg := core.Config{Kind: kind, Chains: map[uint16][]int{1: {}}}
-	for i, s := range sets {
-		cfg.Profiles = append(cfg.Profiles, core.Profile{ID: i, Name: s.Name, Patterns: s})
-		cfg.Chains[1] = append(cfg.Chains[1], i)
+	for _, s := range sets {
+		parts := []*patterns.Set{s}
+		if n := len(s.Patterns); n > core.RegexReportBase {
+			var err error
+			if parts, err = patterns.Split(s, (n+core.RegexReportBase-1)/core.RegexReportBase, 1); err != nil {
+				return nil, 0, err
+			}
+		}
+		for _, part := range parts {
+			id := len(cfg.Profiles)
+			cfg.Profiles = append(cfg.Profiles, core.Profile{ID: id, Name: part.Name, Patterns: part})
+			cfg.Chains[1] = append(cfg.Chains[1], id)
+		}
 	}
 	e, err := core.NewEngine(cfg)
 	return e, 1, err
 }
 
+// measureSplit runs the three measurements behind Table 2 and every
+// Figure 9 and 10 point: one engine on setA, one on setB and one on the
+// merged pair, each fed the same corpus (drawn from injectFrom) by
+// MeasureEngine. Only one engine is alive at a time.
+func measureSplit(o Options, setA, setB, injectFrom *patterns.Set) ([3]Result, error) {
+	corpus := corpusFor(o, injectFrom)
+	var res [3]Result
+	for i, sets := range [][]*patterns.Set{{setA}, {setB}, {setA, setB}} {
+		e, tag, err := EngineFor(core.AutoFull, sets...)
+		if err != nil {
+			return res, err
+		}
+		res[i] = MeasureEngine([]string{setA.Name, setB.Name, "combined"}[i], e, tag, corpus, benchFlows, o.Repeat, 1)
+	}
+	return res, nil
+}
+
 // --- Figure 8 --------------------------------------------------------
 
-// Fig8Row is one point of Figure 8: AC throughput vs pattern count for
-// a stand-alone process, a single virtualized instance, and the average
-// of four instances each on its own core.
+// Fig8Row is one point of Figure 8: scan throughput vs pattern count
+// for a stand-alone process, a single virtualized instance, and the
+// average of four instances each on its own core.
 type Fig8Row struct {
 	Patterns       int
 	StandaloneMbps float64
@@ -130,10 +134,11 @@ type Fig8Row struct {
 	FourVMAvgMbps  float64
 }
 
-// Fig8 reproduces Figure 8. Virtualization is modeled as a queue hop
-// into a separate scanning goroutine (the virtio-style indirection a VM
-// adds); "four VMs" are measured as four sequential instances since the
-// paper pins each VM to its own core (see EXPERIMENTS.md).
+// Fig8 reproduces Figure 8 with one engine per pattern count.
+// Virtualization is modeled as a queue hop into a separate scanning
+// goroutine (the virtio-style indirection a VM adds); "four VMs" are
+// measured as four sequential instances since the paper pins each VM
+// to its own core (see EXPERIMENTS.md).
 func Fig8(o Options) ([]Fig8Row, error) {
 	o.defaults()
 	counts := []int{500, 1000, 2000, 4000, 8000, 16000, patterns.ClamAVFullSize}
@@ -144,16 +149,16 @@ func Fig8(o Options) ([]Fig8Row, error) {
 	for _, n := range counts {
 		set := patterns.ClamAVLike(n, o.Seed)
 		corpus := corpusFor(o, set)
-		a, err := buildFull(set)
+		e, tag, err := EngineFor(core.AutoFull, set)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig8Row{Patterns: n}
-		row.StandaloneMbps = MeasureAutomaton("standalone", a, corpus, o.Repeat).ThroughputMbps()
-		row.OneVMMbps = measureVM(a, corpus, o.Repeat).ThroughputMbps()
+		row.StandaloneMbps = MeasureEngine("standalone", e, tag, corpus, benchFlows, o.Repeat, 1).ThroughputMbps()
+		row.OneVMMbps = measureVM(e, tag, corpus, o.Repeat).ThroughputMbps()
 		var sum float64
 		for vm := 0; vm < 4; vm++ {
-			sum += measureVM(a, corpus, o.Repeat).ThroughputMbps()
+			sum += measureVM(e, tag, corpus, o.Repeat).ThroughputMbps()
 		}
 		row.FourVMAvgMbps = sum / 4
 		rows = append(rows, row)
@@ -161,31 +166,29 @@ func Fig8(o Options) ([]Fig8Row, error) {
 	return rows, nil
 }
 
-// measureVM scans the corpus through a channel-fed goroutine,
-// modeling the per-packet indirection of a virtualized NIC path.
-func measureVM(a mpm.Automaton, corpus [][]byte, repeat int) Result {
-	r := Result{Name: "vm", Patterns: a.NumPatterns(), MemBytes: a.MemoryBytes()}
-	in := make(chan []byte, 64)
+// measureVM is MeasureEngine with one worker behind a channel hop: the
+// runs cross a buffered channel into a scanning goroutine, modeling the
+// per-packet indirection of a virtualized NIC path.
+func measureVM(e *core.Engine, tag uint16, corpus [][]byte, repeat int) Result {
+	in := make(chan []core.BatchItem, 64)
 	done := make(chan struct{})
 	go func() {
-		defer close(done)
-		state := a.Start()
-		emit := func(refs []mpm.PatternRef, end int) {}
-		for p := range in {
-			state = a.Scan(p, state, mpm.AllSets, emit)
+		for run := range in {
+			if run == nil {
+				done <- struct{}{}
+				continue
+			}
+			e.InspectBatch(run, 1)
 		}
 	}()
-	start := time.Now()
-	for i := 0; i < repeat; i++ {
-		for _, p := range corpus {
-			in <- p
-			r.Bytes += int64(len(p))
+	defer close(in)
+	return measureRuns("vm", e, tag, corpus, benchFlows, repeat, func(items []core.BatchItem) {
+		for lo := 0; lo < len(items); lo += ScanRun {
+			in <- items[lo:min(lo+ScanRun, len(items))]
 		}
-	}
-	close(in)
-	<-done
-	r.Elapsed = time.Since(start)
-	return r
+		in <- nil // a pass ends once the scanner has drained it
+		<-done
+	})
 }
 
 // --- Table 2 ---------------------------------------------------------
@@ -211,24 +214,12 @@ func table2Results(o Options) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	corpus := corpusFor(o, full)
-
-	var results []Result
-	for _, tc := range []struct {
-		name string
-		sets []*patterns.Set
-	}{
-		{"Snort1", halves[:1]},
-		{"Snort2", halves[1:]},
-		{"Snort1+Snort2", halves},
-	} {
-		a, err := buildCombined(tc.sets...)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, MeasureAutomaton(tc.name, a, corpus, o.Repeat))
+	res, err := measureSplit(o, halves[0], halves[1], full)
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	res[0].Name, res[1].Name, res[2].Name = "Snort1", "Snort2", "Snort1+Snort2"
+	return res[:], nil
 }
 
 // Table2 reproduces Table 2: Snort split into Snort1/Snort2, measured
@@ -263,88 +254,69 @@ type Fig9Row struct {
 
 // Fig9a reproduces Figure 9(a): Snort-like patterns split into two
 // middlebox sets, swept by total pattern count.
-func Fig9a(o Options) ([]Fig9Row, error) {
-	o.defaults()
-	totals := []int{1089, 2178, 3267, patterns.SnortFullSize}
-	if o.Quick {
-		totals = []int{200, 600}
-	}
-	var rows []Fig9Row
-	for _, total := range totals {
-		full := patterns.SnortLike(total, o.Seed)
-		halves, err := patterns.Split(full, 2, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		row, err := fig9Point(o, total, halves[0], halves[1], full)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
-	}
-	return rows, nil
-}
+func Fig9a(o Options) ([]Fig9Row, error) { return fig9(o, false) }
 
 // Fig9b reproduces Figure 9(b): the full Snort-like set as one
 // middlebox and growing ClamAV-like sets as the other.
-func Fig9b(o Options) ([]Fig9Row, error) {
-	o.defaults()
-	snortN, clamCounts := patterns.SnortFullSize, []int{4356, 13000, 22000, patterns.ClamAVFullSize}
-	if o.Quick {
-		snortN, clamCounts = 300, []int{300, 600}
+func Fig9b(o Options) ([]Fig9Row, error) { return fig9(o, true) }
+
+func fig9(o Options, snortClam bool) ([]Fig9Row, error) {
+	totals, results, err := fig9Points(o, snortClam)
+	if err != nil {
+		return nil, err
 	}
-	snort := patterns.SnortLike(snortN, o.Seed)
 	var rows []Fig9Row
-	for _, cn := range clamCounts {
-		clam := patterns.ClamAVLike(cn, o.Seed)
-		row, err := fig9Point(o, snortN+cn, snort, clam, snort)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
+	for i, r := range results {
+		rows = append(rows, Fig9Row{
+			TotalPatterns: totals[i],
+			// Pipeline: every packet crosses both boxes; the slower
+			// one is the bottleneck.
+			PipelineMbps: minMbps(r[0], r[1]),
+			// Virtual DPI: the same two machines each run the merged
+			// automaton and the load is split between them (Figure 2(b)).
+			VirtualMbps: 2 * r[2].ThroughputMbps(),
+		})
 	}
 	return rows, nil
 }
 
-// fig9Measure runs the three underlying measurements of one Figure 9
-// point: each half separately and the merged automaton. All three run
-// the two-stage matcher (prefilter + exact confirm), mpm.PrefilteredAC;
-// sets whose patterns are unsuitable compile in fallback mode and
-// measure as plain AC.
-func fig9Measure(o Options, setA, setB, injectFrom *patterns.Set) (rA, rB, rC Result, err error) {
-	corpus := corpusFor(o, injectFrom)
-	aA, err := buildPrefiltered(setA)
-	if err != nil {
-		return rA, rB, rC, err
+// fig9Points measures every point of Figure 9(a), or of 9(b) with
+// snortClam: each point's total pattern count and its measureSplit.
+func fig9Points(o Options, snortClam bool) (totals []int, results [][3]Result, err error) {
+	o.defaults()
+	point := func(total int, setA, setB, injectFrom *patterns.Set) error {
+		r, err := measureSplit(o, setA, setB, injectFrom)
+		totals, results = append(totals, total), append(results, r)
+		return err
 	}
-	aB, err := buildPrefiltered(setB)
-	if err != nil {
-		return rA, rB, rC, err
+	if snortClam {
+		snortN, clamCounts := patterns.SnortFullSize, []int{4356, 13000, 22000, patterns.ClamAVFullSize}
+		if o.Quick {
+			snortN, clamCounts = 300, []int{300, 600}
+		}
+		snort := patterns.SnortLike(snortN, o.Seed)
+		for _, cn := range clamCounts {
+			if err := point(snortN+cn, snort, patterns.ClamAVLike(cn, o.Seed), snort); err != nil {
+				return nil, nil, err
+			}
+		}
+		return totals, results, nil
 	}
-	comb, err := buildPrefiltered(setA, setB)
-	if err != nil {
-		return rA, rB, rC, err
+	snortTotals := []int{1089, 2178, 3267, patterns.SnortFullSize}
+	if o.Quick {
+		snortTotals = []int{200, 600}
 	}
-	rA = MeasureAutomaton(setA.Name, aA, corpus, o.Repeat)
-	rB = MeasureAutomaton(setB.Name, aB, corpus, o.Repeat)
-	rC = MeasureAutomaton("combined", comb, corpus, o.Repeat)
-	return rA, rB, rC, nil
-}
-
-func fig9Point(o Options, total int, setA, setB, injectFrom *patterns.Set) (*Fig9Row, error) {
-	rA, rB, rC, err := fig9Measure(o, setA, setB, injectFrom)
-	if err != nil {
-		return nil, err
+	for _, total := range snortTotals {
+		full := patterns.SnortLike(total, o.Seed)
+		halves, err := patterns.Split(full, 2, o.Seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := point(total, halves[0], halves[1], full); err != nil {
+			return nil, nil, err
+		}
 	}
-	return &Fig9Row{
-		TotalPatterns: total,
-		// Pipeline: every packet crosses both boxes; the slower one is
-		// the bottleneck.
-		PipelineMbps: minMbps(rA, rB),
-		// Virtual DPI: the same two machines each run the merged
-		// automaton and the load is split between them (Figure 2(b)).
-		VirtualMbps: 2 * rC.ThroughputMbps(),
-	}, nil
+	return totals, results, nil
 }
 
 // --- Figure 10 -------------------------------------------------------
@@ -399,34 +371,44 @@ func Fig10b(o Options) (*Fig10Result, error) {
 	if o.Quick {
 		snortN, clamN = 300, 600
 	}
-	return fig10Point(o, patterns.SnortLike(snortN, o.Seed), patterns.ClamAVLike(clamN, o.Seed+1), nil)
+	snort := patterns.SnortLike(snortN, o.Seed)
+	return fig10Point(o, snort, patterns.ClamAVLike(clamN, o.Seed+1), snort)
 }
 
 func fig10Point(o Options, setA, setB, injectFrom *patterns.Set) (*Fig10Result, error) {
-	if injectFrom == nil {
-		injectFrom = setA
-	}
-	corpus := corpusFor(o, injectFrom)
-	aA, err := buildFull(setA)
+	r, err := measureSplit(o, setA, setB, injectFrom)
 	if err != nil {
 		return nil, err
 	}
-	aB, err := buildFull(setB)
-	if err != nil {
-		return nil, err
-	}
-	comb, err := buildCombined(setA, setB)
-	if err != nil {
-		return nil, err
-	}
-	rA := MeasureAutomaton(setA.Name, aA, corpus, o.Repeat)
-	rB := MeasureAutomaton(setB.Name, aB, corpus, o.Repeat)
-	rC := MeasureAutomaton("combined", comb, corpus, o.Repeat)
 	return &Fig10Result{
 		NameA: setA.Name, NameB: setB.Name,
-		RectAMbps: rA.ThroughputMbps(), RectBMbps: rB.ThroughputMbps(),
-		CombinedMbps:   rC.ThroughputMbps(),
-		TriangleBudget: 2 * rC.ThroughputMbps(),
+		RectAMbps: r[0].ThroughputMbps(), RectBMbps: r[1].ThroughputMbps(),
+		CombinedMbps:   r[2].ThroughputMbps(),
+		TriangleBudget: 2 * r[2].ThroughputMbps(),
+	}, nil
+}
+
+// --- Lanes: the deployed scan's common and worst case ----------------
+
+// Lanes measures the deployed scan of the Snort-like set on the
+// low-match HTTP mix ("low") and on the attack mix ("adversarial", see
+// Options.Adversarial): the CI gate's common-case and worst-case rows.
+func Lanes(o Options) ([]Result, error) {
+	o.defaults()
+	total := patterns.SnortFullSize
+	if o.Quick {
+		total = 400
+	}
+	set := patterns.SnortLike(total, o.Seed)
+	e, tag, err := EngineFor(core.AutoFull, set)
+	if err != nil {
+		return nil, err
+	}
+	low, adv := o, o
+	low.Adversarial, adv.Adversarial = false, true
+	return []Result{
+		MeasureEngine("low", e, tag, corpusFor(low, set), benchFlows, o.Repeat, 1),
+		MeasureEngine("adversarial", e, tag, corpusFor(adv, set), benchFlows, o.Repeat, 1),
 	}, nil
 }
 
@@ -463,7 +445,7 @@ func Fig11(o Options) (*Fig11Result, error) {
 	// multiple matches of the same pattern should be reported").
 	runPattern := "AAAAAAAA"
 	set.Patterns = append(set.Patterns, patterns.Pattern{ID: len(set.Patterns), Content: runPattern})
-	e, tag, err := engineFor(core.AutoFull, set)
+	e, tag, err := EngineFor(core.AutoFull, set)
 	if err != nil {
 		return nil, err
 	}
@@ -522,10 +504,10 @@ func Fig11(o Options) (*Fig11Result, error) {
 
 // SlowdownResult quantifies the paper's opening observation that DPI
 // slows middlebox packet processing by a factor of at least 2.9. Both
-// paths perform the middlebox's whole per-packet job — frame parsing,
-// rule counting and forwarding — and differ only in where the pattern
-// information comes from: an in-box scan versus the DPI service's
-// result packet.
+// middleboxes parse each frame and forward it. The one with DPI scans
+// the payload itself, as the deployed instance does (MeasureEngine);
+// the one behind the service instead decodes the instance's result
+// packet and counts the rules it names.
 type SlowdownResult struct {
 	ScanNsPerPkt    float64
 	ConsumeNsPerPkt float64
@@ -544,7 +526,7 @@ func Slowdown(o Options) (*SlowdownResult, error) {
 
 	// Build the data frames once, plus the result frames the DPI
 	// service would have produced for them.
-	eng, tag, err := engineFor(core.AutoFull, set)
+	eng, tag, err := EngineFor(core.AutoFull, set)
 	if err != nil {
 		return nil, err
 	}
@@ -564,38 +546,24 @@ func Slowdown(o Options) (*SlowdownResult, error) {
 		}
 	}
 
-	// Middlebox WITH DPI: parse, scan, count, forward.
-	eng2, tag2, err := engineFor(core.AutoFull, set)
-	if err != nil {
-		return nil, err
-	}
+	// Middlebox WITH DPI: parse and forward, plus the scan.
 	sink := make([]byte, 2048)
 	var sum packet.Summary
-	var rules uint64
 	start := time.Now()
 	for r := 0; r < o.Repeat; r++ {
 		for _, f := range frames {
 			if err := packet.Summarize(f, &sum); err != nil {
 				return nil, err
 			}
-			rep, err := eng2.Inspect(tag2, sum.Tuple, sum.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if rep != nil {
-				if sec := rep.SectionFor(0); sec != nil {
-					for _, e := range sec.Entries {
-						rules += uint64(e.Count)
-					}
-				}
-			}
 			copy(sink, f) // forward
 		}
 	}
-	scanElapsed := time.Since(start)
+	frameElapsed := time.Since(start)
+	scan := MeasureEngine("scan", eng, tag, corpus, benchFlows, o.Repeat, 1)
 
 	// Middlebox WITHOUT DPI: parse, decode the result, count, forward.
 	var rep packet.Report
+	var rules uint64
 	start = time.Now()
 	for r := 0; r < o.Repeat; r++ {
 		for i, f := range frames {
@@ -620,7 +588,7 @@ func Slowdown(o Options) (*SlowdownResult, error) {
 
 	n := float64(o.Repeat * len(frames))
 	res := &SlowdownResult{
-		ScanNsPerPkt:    float64(scanElapsed.Nanoseconds()) / n,
+		ScanNsPerPkt:    float64(frameElapsed.Nanoseconds())/n + scan.NsPerOp(),
 		ConsumeNsPerPkt: float64(consumeElapsed.Nanoseconds()) / n,
 	}
 	if res.ConsumeNsPerPkt > 0 {
@@ -783,11 +751,11 @@ func AblationEngineKinds(o Options) ([]AblationKindRow, error) {
 		name string
 		kind core.AutomatonKind
 	}{{"full", core.AutoFull}, {"compact", core.AutoCompact}} {
-		e, tag, err := engineFor(tc.kind, set)
+		e, tag, err := EngineFor(tc.kind, set)
 		if err != nil {
 			return nil, err
 		}
-		r := MeasureEngine(tc.name, e, tag, corpus, 64, o.Repeat)
+		r := MeasureEngine(tc.name, e, tag, corpus, benchFlows, o.Repeat, 1)
 		rows = append(rows, AblationKindRow{tc.name, r.ThroughputMbps(), float64(e.MemoryBytes()) / 1e6})
 	}
 	return rows, nil

@@ -1,11 +1,17 @@
 // Package bench is the measurement harness that regenerates every table
 // and figure of the paper's evaluation (Section 6): workload
-// construction, throughput measurement of raw automata and full service
-// instances, and the experiment drivers for Figure 8, Table 2,
-// Figures 9(a)/9(b), Figures 10(a)/10(b), Figure 11 and the Section 1
-// DPI-slowdown observation, plus ablations of this implementation's
-// design choices. The cmd/dpibench binary prints the results in the
-// paper's layout; EXPERIMENTS.md records paper-vs-measured values.
+// construction, the throughput measurement, and the experiment drivers
+// for Figure 8, Table 2, Figures 9(a)/9(b), Figures 10(a)/10(b),
+// Figure 11 and the Section 1 DPI-slowdown observation, plus ablations
+// of this implementation's design choices.
+//
+// Every paper figure measures one thing, MeasureEngine: a core.Engine
+// per middlebox set or merged set, fed runs of ScanRun packets through
+// Engine.InspectBatch — the lane-interleaved scan pipeline.Scanner runs
+// in the deployed instance. MeasureAutomaton, the raw-automaton scan,
+// serves only the ablations that compare automaton representations.
+// The cmd/dpibench binary prints the results in the paper's layout;
+// EXPERIMENTS.md records paper-vs-measured values.
 package bench
 
 import (
@@ -28,40 +34,17 @@ type Result struct {
 	Bytes    int64
 	Packets  int64
 	Elapsed  time.Duration
-	Matches  uint64
+	// Matches is the pattern matches this measurement found.
+	Matches uint64
 	// Allocs is the heap-allocation count of the whole measurement loop
 	// (runtime mallocs delta), so AllocsPerOp covers harness overhead
 	// too; the hot-path guarantee proper is asserted by
 	// core.TestInspectMetricsAllocFree.
 	Allocs uint64
-	// Metrics is the engine's observability snapshot taken after the
-	// measurement; nil for raw-automaton measurements.
+	// Metrics is what the engine's observability registry recorded
+	// during this measurement (counters and histograms since it began;
+	// gauges as it ended); nil for raw-automaton measurements.
 	Metrics *obs.Snapshot
-	// Prefilter telemetry, filled only when the measured automaton is a
-	// *mpm.PrefilteredAC: probe and hit volume, bytes the exact stage
-	// re-scanned, and the two escape hatches.
-	PfProbes    uint64
-	PfHits      uint64
-	PfConfirmed uint64
-	PfBailouts  uint64
-	PfPlain     uint64
-}
-
-// PfHitPct returns the prefilter probe hit rate in percent.
-func (r Result) PfHitPct() float64 {
-	if r.PfProbes == 0 {
-		return 0
-	}
-	return float64(r.PfHits) / float64(r.PfProbes) * 100
-}
-
-// PfConfirmPct returns the fraction of scanned bytes the exact stage had
-// to re-scan, in percent.
-func (r Result) PfConfirmPct() float64 {
-	if r.Bytes == 0 {
-		return 0
-	}
-	return float64(r.PfConfirmed) / float64(r.Bytes) * 100
 }
 
 // ThroughputMbps returns the measured scan rate in megabits per second
@@ -111,70 +94,103 @@ func (r Result) String() string {
 }
 
 // MeasureAutomaton scans the corpus `repeat` times through a raw
-// automaton and reports throughput — the pure-algorithm measurement of
-// Figure 8.
+// automaton, one packet after another, and reports throughput. No
+// daemon scans this way; it serves the ablations that compare automaton
+// representations with each other.
 func MeasureAutomaton(name string, a mpm.Automaton, corpus [][]byte, repeat int) Result {
 	r := Result{Name: name, Patterns: a.NumPatterns(), States: a.NumStates(), MemBytes: a.MemoryBytes()}
-	var matches uint64
-	emit := func(refs []mpm.PatternRef, end int) { matches += uint64(len(refs)) }
-	pf, _ := a.(*mpm.PrefilteredAC)
-	var pfStats mpm.PrefilterStats
-	// Untimed warm-up pass: the first scan through a pooled matcher may
-	// lazily allocate its scratch (the prefilter's candidate-region
-	// buffer), which must not count against the measured loop's allocs.
-	if len(corpus) > 0 {
-		a.Scan(corpus[0], a.Start(), mpm.AllSets, func(refs []mpm.PatternRef, end int) {})
-	}
+	emit := func(refs []mpm.PatternRef, end int) { r.Matches += uint64(len(refs)) }
 	m0 := mallocs()
 	start := time.Now()
 	for i := 0; i < repeat; i++ {
 		state := a.Start()
-		if pf != nil {
-			for _, p := range corpus {
-				state = pf.ScanStats(p, state, mpm.AllSets, emit, &pfStats)
-				r.Bytes += int64(len(p))
-			}
-		} else {
-			for _, p := range corpus {
-				state = a.Scan(p, state, mpm.AllSets, emit)
-				r.Bytes += int64(len(p))
-			}
-		}
-	}
-	r.Elapsed = time.Since(start)
-	r.Allocs = mallocs() - m0
-	r.Packets = int64(repeat) * int64(len(corpus))
-	r.Matches = matches
-	r.PfProbes, r.PfHits = pfStats.Probes, pfStats.Hits
-	r.PfConfirmed = pfStats.ConfirmedBytes
-	r.PfBailouts, r.PfPlain = pfStats.Bailouts, pfStats.PlainScans
-	return r
-}
-
-// MeasureEngine pushes the corpus through a full DPI service instance
-// (per-packet tag resolution, flow state, report construction) under
-// one chain tag, rotating across nFlows flow tuples, and reports
-// throughput.
-func MeasureEngine(name string, e *core.Engine, tag uint16, corpus [][]byte, nFlows, repeat int) Result {
-	r := Result{Name: name, Patterns: e.NumPatterns(), States: e.NumStates(), MemBytes: e.MemoryBytes()}
-	tuples := benchTuples(nFlows)
-	m0 := mallocs()
-	start := time.Now()
-	for i := 0; i < repeat; i++ {
-		for j, p := range corpus {
-			_, err := e.Inspect(tag, tuples[j%nFlows], p)
-			if err != nil {
-				panic(err) // harness misconfiguration, not a data error
-			}
+		for _, p := range corpus {
+			state = a.Scan(p, state, mpm.AllSets, emit)
 			r.Bytes += int64(len(p))
 		}
 	}
 	r.Elapsed = time.Since(start)
 	r.Allocs = mallocs() - m0
 	r.Packets = int64(repeat) * int64(len(corpus))
-	s := e.Snapshot()
-	r.Matches = s.Matches
-	r.Metrics = e.Metrics().Snapshot()
+	return r
+}
+
+// ScanRun is how many packets one InspectBatch call of MeasureEngine
+// scans per worker: the frames one receive batch hands the deployed
+// instance's pipeline.Scanner, measured by the benchmark module as
+// wire.frames_per_batch_in (13.2 on multi-tenant, 13.4 on attack-dense;
+// benchmark/README.md). wire.HoldFrames (64) is the bound the Scanner
+// never exceeds.
+const ScanRun = 13
+
+// MeasureEngine pushes the corpus `repeat` times through a DPI service
+// instance under one chain tag, the flow tuples rotating across nFlows,
+// and reports throughput. It scans the way the deployed instance does:
+// Engine.InspectBatch over consecutive runs of ScanRun×workers packets
+// (so each of the workers streams runs of ScanRun through its DFA
+// lanes), each packet with its own reusable report buffer. workers = 1
+// is pipeline.Scanner's call; more fan each run out across goroutines.
+// Matches and Metrics count this measurement only, not what the engine
+// saw before it.
+func MeasureEngine(name string, e *core.Engine, tag uint16, corpus [][]byte, nFlows, repeat, workers int) Result {
+	workers = max(workers, 1)
+	return measureRuns(name, e, tag, corpus, nFlows, repeat, func(items []core.BatchItem) {
+		scanPass(e, items, workers)
+	})
+}
+
+// scanPass is one MeasureEngine pass over items.
+func scanPass(e *core.Engine, items []core.BatchItem, workers int) {
+	n := ScanRun * workers
+	for lo := 0; lo < len(items); lo += n {
+		e.InspectBatch(items[lo:min(lo+n, len(items))], workers)
+	}
+}
+
+// engineItems builds the batch items MeasureEngine scans: one per
+// corpus packet, tuples rotating over benchTuples(nFlows), each with
+// its own report buffer so the matched path allocates nothing after
+// the first pass.
+func engineItems(tag uint16, corpus [][]byte, nFlows int) []core.BatchItem {
+	tuples := benchTuples(nFlows)
+	reps := make([]packet.Report, len(corpus))
+	items := make([]core.BatchItem, len(corpus))
+	for j, p := range corpus {
+		items[j] = core.BatchItem{Tag: tag, Tuple: tuples[j%nFlows], Payload: p, Buf: &reps[j]}
+	}
+	return items
+}
+
+// measureRuns times `repeat` calls of pass over the engine items of the
+// corpus and reports what the engine recorded meanwhile. An item left
+// with an error means the harness is misconfigured (an unknown tag), so
+// it panics rather than report a scan that did not happen.
+func measureRuns(name string, e *core.Engine, tag uint16, corpus [][]byte, nFlows, repeat int, pass func(items []core.BatchItem)) Result {
+	r := Result{Name: name, Patterns: e.NumPatterns(), States: e.NumStates(), MemBytes: e.MemoryBytes()}
+	items := engineItems(tag, corpus, nFlows)
+	for _, p := range corpus {
+		r.Bytes += int64(len(p))
+	}
+	r.Bytes *= int64(repeat)
+	matches0, met0 := e.Snapshot().Matches, e.Metrics().Snapshot()
+	// Collect the garbage of building the engine and the corpus now, so
+	// no GC cycle it triggers runs on the measured clock.
+	runtime.GC()
+	m0 := mallocs()
+	start := time.Now()
+	for i := 0; i < repeat; i++ {
+		pass(items)
+	}
+	r.Elapsed = time.Since(start)
+	r.Allocs = mallocs() - m0
+	r.Packets = int64(repeat) * int64(len(items))
+	for i := range items {
+		if items[i].Err != nil {
+			panic(items[i].Err)
+		}
+	}
+	r.Matches = e.Snapshot().Matches - matches0
+	r.Metrics = e.Metrics().Snapshot().Since(met0)
 	return r
 }
 

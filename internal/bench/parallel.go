@@ -3,17 +3,16 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"dpiservice/internal/core"
-	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
 )
 
 // This file measures the multi-core scaling of a single DPI instance:
 // the sharded, re-entrant engine driven through InspectBatch with k
-// workers should track the paper's "k VMs, one per core" aggregate
-// (Figure 8 / Section 6.2), without the k separate automaton copies.
+// workers, each streaming runs of ScanRun packets, should track the
+// paper's "k VMs, one per core" aggregate (Figure 8 / Section 6.2),
+// without the k separate automaton copies.
 
 // ParallelRow is one point of the throughput-vs-cores curve.
 type ParallelRow struct {
@@ -42,13 +41,13 @@ func parallelResults(o Options) ([]Result, error) {
 	}
 	set := patterns.SnortLike(total, o.Seed)
 	corpus := corpusFor(o, set)
-	e, tag, err := engineFor(core.AutoFull, set)
+	e, tag, err := EngineFor(core.AutoFull, set)
 	if err != nil {
 		return nil, err
 	}
 	var results []Result
 	for _, w := range parallelWorkerCounts() {
-		results = append(results, MeasureEngineParallel(fmt.Sprintf("workers-%d", w), e, tag, corpus, 256, o.Repeat, w))
+		results = append(results, MeasureEngine(fmt.Sprintf("workers-%d", w), e, tag, corpus, 256, o.Repeat, w))
 	}
 	return results, nil
 }
@@ -71,48 +70,6 @@ func ParallelScaling(o Options) ([]ParallelRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// MeasureEngineParallel pushes the corpus through a service instance
-// with InspectBatch fanning packets across `workers` goroutines,
-// rotating across nFlows flow tuples so the sharded flow table spreads
-// the load, and reports aggregate throughput.
-func MeasureEngineParallel(name string, e *core.Engine, tag uint16, corpus [][]byte, nFlows, repeat, workers int) Result {
-	r := Result{Name: name, Patterns: e.NumPatterns(), States: e.NumStates(), MemBytes: e.MemoryBytes()}
-	items := make([]core.BatchItem, len(corpus))
-	for j, p := range corpus {
-		f := j % nFlows
-		items[j] = core.BatchItem{
-			Tag: tag,
-			Tuple: packet.FiveTuple{
-				Src:      packet.IP4{10, 0, byte(f >> 8), byte(f)},
-				Dst:      packet.IP4{10, 0, 0, 2},
-				SrcPort:  uint16(1024 + f),
-				DstPort:  80,
-				Protocol: packet.IPProtoTCP,
-			},
-			Payload: p,
-		}
-		r.Bytes += int64(len(p))
-	}
-	r.Bytes *= int64(repeat)
-	m0 := mallocs()
-	start := time.Now()
-	for i := 0; i < repeat; i++ {
-		e.InspectBatch(items, workers)
-	}
-	r.Elapsed = time.Since(start)
-	r.Allocs = mallocs() - m0
-	r.Packets = int64(repeat) * int64(len(items))
-	for i := range items {
-		if items[i].Err != nil {
-			panic(items[i].Err) // harness misconfiguration, not a data error
-		}
-	}
-	s := e.Snapshot()
-	r.Matches = s.Matches
-	r.Metrics = e.Metrics().Snapshot()
-	return r
 }
 
 // FormatParallel renders the throughput-vs-cores table.

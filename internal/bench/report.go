@@ -1,20 +1,21 @@
 package bench
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 
 	"dpiservice/internal/obs"
-	"dpiservice/internal/patterns"
 )
 
 // This file defines the machine-readable benchmark report emitted by
 // cmd/dpibench -json (BENCH_*.json). Records carry enough detail —
-// packets, ns/op, MB/s, allocations, the engine's metric snapshot — to
-// compare runs over time; Compare implements the CI regression gate
-// against a committed baseline (see EXPERIMENTS.md).
+// packets, ns/op, MB/s, allocations, what the engine's metrics recorded
+// — to compare runs over time; Compare is the per-round comparison of
+// the CI regression gate, head against merge base (see EXPERIMENTS.md).
 
 // Schema identifies the BENCH_*.json layout.
 const Schema = "dpibench/v1"
@@ -32,17 +33,11 @@ type Record struct {
 	Mbps        float64 `json:"mbps"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	Matches     uint64  `json:"matches"`
-	// Metrics is the engine's observability snapshot after the
-	// measurement; absent for raw-automaton records.
+	// Metrics is what the engine's registry recorded during the
+	// measurement (Result.Metrics); absent for raw-automaton records.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// Prefilter telemetry, present only for two-stage matcher records.
-	PrefilterHitPct     float64 `json:"prefilter_hit_pct,omitempty"`
-	PrefilterConfirmPct float64 `json:"prefilter_confirm_pct,omitempty"`
-	PrefilterBailouts   uint64  `json:"prefilter_bailouts,omitempty"`
-	PrefilterPlainScans uint64  `json:"prefilter_plain_scans,omitempty"`
-	// Approximate scan-latency quantiles from the engine's core.scan_ns
-	// histogram; present only when the measured path observed latency
-	// (daemon-style entry points — the raw Inspect loop is clock-free).
+	// Approximate per-packet scan-latency quantiles of the measurement,
+	// from the engine's core.scan_ns histogram.
 	ScanP50Ns float64 `json:"scan_p50_ns,omitempty"`
 	ScanP99Ns float64 `json:"scan_p99_ns,omitempty"`
 }
@@ -59,28 +54,21 @@ type Report struct {
 	Records     []Record `json:"records"`
 }
 
-// recordFrom converts one measurement; name overrides r.Name (pass ""
-// to keep it) so sweep points stay unique within an experiment.
+// recordFrom converts one measurement into the record named name, which
+// keeps sweep points unique within an experiment.
 func recordFrom(experiment, name string, r Result) Record {
-	if name == "" {
-		name = r.Name
-	}
 	rec := Record{
-		Experiment:          experiment,
-		Name:                name,
-		Patterns:            r.Patterns,
-		Packets:             r.Packets,
-		Bytes:               r.Bytes,
-		NsPerOp:             r.NsPerOp(),
-		MBps:                r.MBps(),
-		Mbps:                r.ThroughputMbps(),
-		AllocsPerOp:         r.AllocsPerOp(),
-		Matches:             r.Matches,
-		Metrics:             r.Metrics,
-		PrefilterHitPct:     r.PfHitPct(),
-		PrefilterConfirmPct: r.PfConfirmPct(),
-		PrefilterBailouts:   r.PfBailouts,
-		PrefilterPlainScans: r.PfPlain,
+		Experiment:  experiment,
+		Name:        name,
+		Patterns:    r.Patterns,
+		Packets:     r.Packets,
+		Bytes:       r.Bytes,
+		NsPerOp:     r.NsPerOp(),
+		MBps:        r.MBps(),
+		Mbps:        r.ThroughputMbps(),
+		AllocsPerOp: r.AllocsPerOp(),
+		Matches:     r.Matches,
+		Metrics:     r.Metrics,
 	}
 	if r.Metrics != nil {
 		if h, ok := r.Metrics.Histogram("core.scan_ns"); ok && h.Count > 0 {
@@ -93,7 +81,7 @@ func recordFrom(experiment, name string, r Result) Record {
 
 // CollectableExperiments lists the experiments Collect supports.
 func CollectableExperiments() []string {
-	return []string{"table2", "fig9a", "fig9b", "parallel", "prefilter"}
+	return []string{"table2", "fig9a", "fig9b", "parallel", "lanes"}
 }
 
 // Collect runs the given experiments and assembles their raw
@@ -114,116 +102,82 @@ func Collect(experiments []string, o Options) (*Report, error) {
 		trials = 1
 	}
 	for _, exp := range experiments {
-		recs, err := collectOne(exp, o)
-		if err != nil {
-			return nil, fmt.Errorf("bench: collect %s: %w", exp, err)
-		}
-		// Best-of-N: re-run and keep the fastest measurement per record.
-		// A benchmark can only be slowed down by outside interference,
-		// so the maximum is the least noisy throughput estimator.
-		for t := 1; t < trials; t++ {
-			again, err := collectOne(exp, o)
+		// Median of N: every record is the median-throughput one of its
+		// N trials. Outside load moves a measurement both ways on a
+		// shared host (a quiet neighbour lets the clock boost), so the
+		// median, not the maximum, is the stable estimator.
+		var runs [][]Record // [trial][record]
+		for t := 0; t < trials; t++ {
+			recs, err := collectOne(exp, o)
 			if err != nil {
 				return nil, fmt.Errorf("bench: collect %s (trial %d): %w", exp, t+1, err)
 			}
-			byKey := make(map[string]Record, len(again))
-			for _, r := range again {
-				byKey[r.Experiment+"/"+r.Name] = r
-			}
-			for i, r := range recs {
-				if a, ok := byKey[r.Experiment+"/"+r.Name]; ok && a.Mbps > r.Mbps {
-					recs[i] = a
-				}
-			}
+			runs = append(runs, recs)
 		}
-		rep.Records = append(rep.Records, recs...)
+		rep.Records = append(rep.Records, medianRecords(runs)...)
 	}
 	return rep, nil
 }
 
+// medianRecords returns, record by record, the median-throughput one of
+// the runs, each run listing the same records in the same order.
+func medianRecords(runs [][]Record) []Record {
+	var out []Record
+	for i := range runs[0] {
+		same := make([]Record, len(runs))
+		for t := range runs {
+			same[t] = runs[t][i]
+		}
+		slices.SortFunc(same, func(a, b Record) int { return cmp.Compare(a.Mbps, b.Mbps) })
+		out = append(out, same[len(same)/2])
+	}
+	return out
+}
+
 func collectOne(exp string, o Options) ([]Record, error) {
+	var (
+		results []Result
+		err     error
+	)
 	switch exp {
 	case "table2":
-		results, err := table2Results(o)
-		if err != nil {
-			return nil, err
-		}
-		var recs []Record
-		for _, r := range results {
-			recs = append(recs, recordFrom(exp, "", r))
-		}
-		return recs, nil
-	case "fig9a":
-		return collectFig9a(o)
-	case "fig9b":
-		return collectFig9b(o)
+		results, err = table2Results(o)
+	case "fig9a", "fig9b":
+		return collectFig9(exp, o)
 	case "parallel":
-		results, err := parallelResults(o)
-		if err != nil {
-			return nil, err
-		}
-		var recs []Record
-		for _, r := range results {
-			recs = append(recs, recordFrom(exp, "", r))
-		}
-		return recs, nil
-	case "prefilter":
-		results, err := prefilterResults(o)
-		if err != nil {
-			return nil, err
-		}
-		var recs []Record
-		for _, r := range results {
-			recs = append(recs, recordFrom(exp, "", r))
-		}
-		return recs, nil
+		results, err = parallelResults(o)
+	case "lanes":
+		results, err = Lanes(o)
 	default:
 		return nil, fmt.Errorf("experiment %q has no record collector", exp)
 	}
-}
-
-// collectFig9a records the underlying measurements of every Figure 9(a)
-// sweep point (the figure's pipeline/virtual curves are pure functions
-// of them).
-func collectFig9a(o Options) ([]Record, error) {
-	totals := []int{1089, 2178, 3267, patterns.SnortFullSize}
-	if o.Quick {
-		totals = []int{200, 600}
+	if err != nil {
+		return nil, err
 	}
 	var recs []Record
-	for _, total := range totals {
-		full := patterns.SnortLike(total, o.Seed)
-		halves, err := patterns.Split(full, 2, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rA, rB, rC, err := fig9Measure(o, halves[0], halves[1], full)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []Result{rA, rB, rC} {
-			recs = append(recs, recordFrom("fig9a", fmt.Sprintf("%s-%d", r.Name, total), r))
-		}
+	for _, r := range results {
+		recs = append(recs, recordFrom(exp, lanesName(r.Name), r))
 	}
 	return recs, nil
 }
 
-// collectFig9b is collectFig9a for the Snort-vs-ClamAV sweep.
-func collectFig9b(o Options) ([]Record, error) {
-	snortN, clamCounts := patterns.SnortFullSize, []int{4356, 13000, 22000, patterns.ClamAVFullSize}
-	if o.Quick {
-		snortN, clamCounts = 300, []int{300, 600}
+// lanesName is the record name of a MeasureEngine result. The prefix
+// marks records of the lane-interleaved engine scan, so none is ever
+// compared with a record another matcher produced under the old name.
+func lanesName(name string) string { return "lanes-" + name }
+
+// collectFig9 records the underlying measurements of every Figure 9(a)
+// or 9(b) sweep point (the figure's pipeline/virtual curves are pure
+// functions of them).
+func collectFig9(exp string, o Options) ([]Record, error) {
+	totals, results, err := fig9Points(o, exp == "fig9b")
+	if err != nil {
+		return nil, err
 	}
-	snort := patterns.SnortLike(snortN, o.Seed)
 	var recs []Record
-	for _, cn := range clamCounts {
-		clam := patterns.ClamAVLike(cn, o.Seed)
-		rA, rB, rC, err := fig9Measure(o, snort, clam, snort)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []Result{rA, rB, rC} {
-			recs = append(recs, recordFrom("fig9b", fmt.Sprintf("%s-%d", r.Name, snortN+cn), r))
+	for i, point := range results {
+		for _, r := range point {
+			recs = append(recs, recordFrom(exp, lanesName(fmt.Sprintf("%s-%d", r.Name, totals[i])), r))
 		}
 	}
 	return recs, nil

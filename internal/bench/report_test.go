@@ -96,6 +96,18 @@ func TestCompareAndRegressed(t *testing.T) {
 	}
 }
 
+func TestMedianRecords(t *testing.T) {
+	rec := func(name string, mbps float64) Record { return Record{Name: name, Mbps: mbps} }
+	got := medianRecords([][]Record{
+		{rec("a", 1), rec("b", 9)},
+		{rec("a", 5), rec("b", 2)},
+		{rec("a", 3), rec("b", 4)},
+	})
+	if len(got) != 2 || got[0] != rec("a", 3) || got[1] != rec("b", 4) {
+		t.Fatalf("medianRecords = %+v, want a=3 and b=4", got)
+	}
+}
+
 func TestQuickDoesNotOverrideExplicitCorpus(t *testing.T) {
 	o := Options{Quick: true, CorpusBytes: 1 << 20}
 	o.defaults()

@@ -12,11 +12,11 @@ import (
 // This file is the multi-core data-plane entry points: InspectBatch
 // fans a slice of packets across worker goroutines, and Pool is the
 // persistent worker-pool variant. No daemon runs Pool: the wire data
-// plane calls InspectBatch with one worker, and Pool's callers are the
-// netsim DPINode (internal/middlebox) and the benchmark module's layer
-// rows. Both lean on Inspect being re-entrant (sharded flow table,
-// pooled scratch), so one engine reproduces the paper's "k VMs = k
-// engines" scaling in-process (Section 6.2, Figure 8).
+// plane calls InspectBatch with one worker, and Pool goes when the
+// benchmark module's core.pool_ns_per_pkt row, its last caller, does.
+// Both lean on Inspect being re-entrant (sharded flow table, pooled
+// scratch), so one engine reproduces the paper's "k VMs = k engines"
+// scaling in-process (Section 6.2, Figure 8).
 
 // BatchItem couples one packet with its result slot for InspectBatch.
 type BatchItem struct {
@@ -196,7 +196,8 @@ func (j *Job) Wait() { <-j.done }
 
 // Pool is a persistent worker pool scanning packets against an engine.
 // The engine is resolved per job through the provided func, so
-// controller-pushed hot swaps apply without restarting the pool.
+// controller-pushed hot swaps apply without restarting the pool. Its
+// only caller is benchmark/layers.go:223.
 type Pool struct {
 	engine func() *Engine
 	jobs   chan *Job

@@ -236,9 +236,11 @@ func (n *ConsumerNode) degrade(p pending) {
 		n.Flight.Record(trace.EvUnscanned, p.tuple.FastHash(), 1)
 		return
 	}
-	n.Unscanned.Add(1)
 	n.Flight.Record(trace.EvUnscanned, p.tuple.FastHash(), 0)
 	n.finish(p.tuple, nil, p.frame)
+	// Counted once forwarded, so a reader that sees the count sees the
+	// frame gone too.
+	n.Unscanned.Add(1)
 }
 
 func (n *ConsumerNode) handleReport(frame, body []byte, tag uint16) {

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"dpiservice/internal/core"
 	"dpiservice/internal/ctlproto"
@@ -64,34 +63,15 @@ type DPINode struct {
 	normChecksum bool
 	normMinTTL   uint8
 
-	// Scan worker pool (SetWorkers). submitMu guards pool/completions
-	// and makes submission order equal completion-queue order, so the
-	// finisher forwards frames in arrival order even though scans
-	// complete out of order.
-	submitMu    sync.Mutex
-	pool        *core.Pool
-	completions chan *core.Job
-	finWG       sync.WaitGroup
-
 	buf packet.SerializeBuffer
 }
 
-// frameScan is the pool-job context: the original frame, its parse,
-// and the submit time feeding the queue-wait histogram.
-type frameScan struct {
-	frame     []byte
-	sum       packet.Summary
-	submitted time.Time
-}
-
-// nodeMetrics are the DPINode's instruments: frames seen/bypassed,
-// reports emitted, and the worker-queue depth and wait time.
+// nodeMetrics are the DPINode's instruments: frames seen/bypassed and
+// reports emitted.
 type nodeMetrics struct {
 	frames      *obs.Counter
 	untagged    *obs.Counter
 	reportsSent *obs.Counter
-	queueDepth  *obs.Gauge
-	queueWait   *obs.Histogram
 }
 
 func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
@@ -99,8 +79,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		frames:      reg.Counter("dpinode.frames"),
 		untagged:    reg.Counter("dpinode.frames_untagged"),
 		reportsSent: reg.Counter("dpinode.reports_sent"),
-		queueDepth:  reg.Gauge("dpinode.queue_depth"),
-		queueWait:   reg.Histogram("dpinode.queue_wait_ns", obs.LatencyBounds),
 	}
 }
 
@@ -249,65 +227,8 @@ func (n *DPINode) handleFrame(frame []byte) {
 		n.mu.Unlock()
 		return
 	}
-	if n.trySubmit(frame, &sum, tag, met) {
-		return
-	}
 	report, err := n.engineRef().InspectTimed(tag, sum.Tuple, sum.Payload)
 	n.finishScan(frame, &sum, tag, report, err)
-}
-
-// trySubmit hands the frame to the scan worker pool when one is
-// running. Completion-queue order equals submission order, so the
-// finisher emits frames in arrival order.
-func (n *DPINode) trySubmit(frame []byte, sum *packet.Summary, tag uint16, met *nodeMetrics) bool {
-	n.submitMu.Lock()
-	defer n.submitMu.Unlock()
-	if n.pool == nil {
-		return false
-	}
-	job := &core.Job{Tag: tag, Tuple: sum.Tuple, Payload: sum.Payload,
-		Ctx: &frameScan{frame: frame, sum: *sum, submitted: time.Now()}}
-	n.pool.Submit(job)
-	n.completions <- job
-	met.queueDepth.Add(1)
-	return true
-}
-
-// SetWorkers starts a pool of count scan workers on the node (count <=
-// 0 stops the pool and returns to synchronous scanning). With workers,
-// packets of different flows scan on all cores while frames still leave
-// the node in arrival order — the in-process version of the paper's
-// one-instance-per-core deployment (Section 6.2).
-func (n *DPINode) SetWorkers(count int) {
-	n.submitMu.Lock()
-	old, oldComp := n.pool, n.completions
-	n.pool, n.completions = nil, nil
-	n.submitMu.Unlock()
-	if old != nil {
-		old.Close()
-		close(oldComp)
-		n.finWG.Wait()
-	}
-	if count <= 0 {
-		return
-	}
-	pool := core.NewPool(n.engineRef, count, 0)
-	comp := make(chan *core.Job, count*8)
-	n.finWG.Add(1)
-	go func() {
-		defer n.finWG.Done()
-		for job := range comp {
-			job.Wait()
-			fc := job.Ctx.(*frameScan)
-			met := n.metRef()
-			met.queueDepth.Add(-1)
-			met.queueWait.Observe(uint64(time.Since(fc.submitted)))
-			n.finishScan(fc.frame, &fc.sum, job.Tag, job.Report, job.Err)
-		}
-	}()
-	n.submitMu.Lock()
-	n.pool, n.completions = pool, comp
-	n.submitMu.Unlock()
 }
 
 // finishScan completes one scanned frame: flow teardown, result-passing

@@ -1,11 +1,13 @@
 package mpm
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"dpiservice/internal/patterns"
+	"dpiservice/internal/traffic"
 )
 
 // streamScan records the raw emit stream (order-preserving, unfiltered)
@@ -311,5 +313,62 @@ func TestPrefilterGoldenCompile(t *testing.T) {
 	const wantDigest = uint64(0xce7bc351db99acf4)
 	if d := pf.TableDigest(); d != wantDigest {
 		t.Fatalf("table digest: got %#x, want %#x", d, wantDigest)
+	}
+}
+
+// BenchmarkLanesVsPrefilter compares the prefilter with the scan the
+// deployed instance runs, on the dpibench corpora (the low-match HTTP
+// mix and the attack mix, 1 MiB each, 64 of the set's patterns
+// injected) at 400 and 4 356 Snort-like patterns: a solo ACFull.Scan,
+// ACFull.ScanLanes over runs of 13 packets (bench.ScanRun) and a solo
+// PrefilteredAC.Scan. One op is one pass over the corpus.
+func BenchmarkLanesVsPrefilter(b *testing.B) {
+	emit := func(refs []PatternRef, end int) {}
+	for _, n := range []int{400, patterns.SnortFullSize} {
+		set := patterns.SnortLike(n, 1)
+		plain, pf := buildPrefilterPair(b, set.Strings())
+		for _, mix := range []struct {
+			name string
+			mix  traffic.Mix
+		}{{"low-match", traffic.HTTPMix}, {"attack", traffic.AttackMix}} {
+			corpus := traffic.NewGenerator(traffic.Config{
+				Seed: 8, Mix: mix.mix, MatchFraction: 0.08, InjectPatterns: set.Strings()[:64],
+			}).Corpus(1 << 20)
+			var total int64
+			for _, p := range corpus {
+				total += int64(len(p))
+			}
+			lanes := make([]Lane, len(corpus))
+			for _, m := range []struct {
+				name string
+				pass func()
+			}{
+				{"solo", func() {
+					for _, p := range corpus {
+						plain.Scan(p, plain.Start(), AllSets, emit)
+					}
+				}},
+				{"lanes", func() {
+					for j, p := range corpus {
+						lanes[j] = Lane{Data: p, State: plain.Start(), Active: AllSets, Emit: emit}
+					}
+					for lo := 0; lo < len(lanes); lo += 13 {
+						plain.ScanLanes(lanes[lo:min(lo+13, len(lanes))])
+					}
+				}},
+				{"prefilter", func() {
+					for _, p := range corpus {
+						pf.Scan(p, pf.Start(), AllSets, emit)
+					}
+				}},
+			} {
+				b.Run(fmt.Sprintf("%d/%s/%s", n, mix.name, m.name), func(b *testing.B) {
+					b.SetBytes(total)
+					for i := 0; i < b.N; i++ {
+						m.pass()
+					}
+				})
+			}
+		}
 	}
 }

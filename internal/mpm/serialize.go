@@ -22,9 +22,6 @@ const (
 	// int32 entries per row) is not read.
 	snapVersion = 2
 
-	pfSnapMagic   = 0x44504950 // "DPIP"
-	pfSnapVersion = 1
-
 	// snapChunk is how many integers move per read or write.
 	snapChunk = 4096
 	// snapMaxStates bounds the header's state count; more is corrupt.
@@ -39,7 +36,7 @@ var (
 
 // snapInt is an integer a snapshot stores, little-endian at its own
 // width.
-type snapInt interface{ uint16 | uint32 | uint64 }
+type snapInt interface{ uint16 | uint32 }
 
 func writeInts[T snapInt](w io.Writer, vs []T) error {
 	for len(vs) > 0 {
@@ -75,13 +72,10 @@ func readInts[T snapInt](r io.Reader, n int, max uint64) ([]T, error) {
 		out = out[:len(out)+k]
 		for i, at := len(out)-k, 0; i < len(out); i, at = i+1, at+size {
 			var v uint64
-			switch size {
-			case 2:
+			if size == 2 {
 				v = uint64(binary.LittleEndian.Uint16(buf[at:]))
-			case 4:
+			} else {
 				v = uint64(binary.LittleEndian.Uint32(buf[at:]))
-			default:
-				v = binary.LittleEndian.Uint64(buf[at:])
 			}
 			if v > max {
 				return nil, ErrBadSnapshot
@@ -202,92 +196,6 @@ func ReadACFull(r io.Reader) (*ACFull, error) {
 	}
 	m.fillBitmaps()
 	return a, nil
-}
-
-// WriteTo serializes the two-stage matcher: a prefilter header and
-// tables, followed by the embedded exact-automaton snapshot. Window
-// offsets are compile-time introspection only and are not serialized.
-func (p *PrefilteredAC) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	fallback := uint32(0)
-	if p.fallback {
-		fallback = 1
-	}
-	err := writeInts(cw, []uint32{
-		pfSnapMagic, pfSnapVersion, fallback, uint32(p.stride),
-		pfHashBits, uint32(p.minLen), uint32(p.maxLen), uint32(p.grams),
-	})
-	if err == nil && !p.fallback {
-		if err = writeInts(cw, p.table); err == nil {
-			err = writeInts(cw, p.back)
-		}
-		if err == nil {
-			err = writeInts(cw, p.fwd)
-		}
-	}
-	if err == nil {
-		_, err = p.ac.WriteTo(cw) // counted through cw
-	}
-	return cw.n, err
-}
-
-// ReadPrefiltered deserializes a snapshot written by
-// (*PrefilteredAC).WriteTo. The restored matcher scans identically to
-// the original; WindowOffsets is not restored.
-func ReadPrefiltered(r io.Reader) (*PrefilteredAC, error) {
-	hdr, err := readInts[uint32](r, 8, math.MaxUint32)
-	if err != nil {
-		return nil, err
-	}
-	if hdr[0] != pfSnapMagic {
-		return nil, ErrBadSnapshot
-	}
-	if hdr[1] != pfSnapVersion {
-		return nil, ErrSnapshotVersion
-	}
-	hdr = hdr[2:]
-	fallback, stride := hdr[0] == 1, int(hdr[1])
-	p := &PrefilteredAC{
-		fallback: fallback,
-		stride:   stride,
-		minLen:   int(hdr[3]),
-		maxLen:   int(hdr[4]),
-		grams:    int(hdr[5]),
-	}
-	p.pool.New = func() any { return newPfScratch() }
-	switch {
-	case hdr[0] > 1, hdr[2] != pfHashBits:
-		return nil, ErrBadSnapshot
-	case !fallback && stride != 2 && stride != 4:
-		return nil, ErrBadSnapshot
-	case fallback && stride != 0:
-		return nil, ErrBadSnapshot
-	case p.minLen <= 0 || p.maxLen < p.minLen || p.maxLen >= 1<<16:
-		return nil, ErrBadSnapshot
-	case p.grams < 0 || p.grams > pfBuckets:
-		return nil, ErrBadSnapshot
-	}
-	if !fallback {
-		if p.grams > pfMaxFlagged {
-			return nil, ErrBadSnapshot
-		}
-		if p.table, err = readInts[uint64](r, pfTableWords, math.MaxUint64); err != nil {
-			return nil, err
-		}
-		if p.back, err = readInts[uint16](r, pfBuckets, uint64(p.maxLen-1)); err != nil {
-			return nil, err
-		}
-		if p.fwd, err = readInts[uint16](r, pfBuckets, uint64(p.maxLen)); err != nil {
-			return nil, err
-		}
-		p.bailDiv = 2 * p.maxLen
-	}
-	ac, err := ReadACFull(r)
-	if err != nil {
-		return nil, err
-	}
-	p.ac = ac
-	return p, nil
 }
 
 type countWriter struct {

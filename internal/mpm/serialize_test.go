@@ -217,119 +217,3 @@ func TestSnapshotHeaderAllocatesNothing(t *testing.T) {
 		t.Errorf("reading a %d-byte snapshot allocated %d bytes", snap.Len(), grew)
 	}
 }
-
-func TestPrefilterSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	b := NewBuilder()
-	if err := b.AddSet(0, randomPatterns(rng, 200, 8, 24, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddSet(1, randomPatterns(rng, 100, 8, 24, 40)); err != nil {
-		t.Fatal(err)
-	}
-	orig, err := b.BuildPrefiltered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orig.Fallback() {
-		t.Fatal("test set unexpectedly compiled to fallback")
-	}
-	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	loaded, err := ReadPrefiltered(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Stride() != orig.Stride() || loaded.Fallback() != orig.Fallback() ||
-		loaded.GramCount() != orig.GramCount() || loaded.TableDigest() != orig.TableDigest() ||
-		loaded.NumPatterns() != orig.NumPatterns() || loaded.NumStates() != orig.NumStates() {
-		t.Fatal("prefilter metadata mismatch after round trip")
-	}
-	for trial := 0; trial < 20; trial++ {
-		text := randomText(rng, 4096, 60)
-		injectInto(rng, text, randomPatterns(rng, 5, 8, 24, 40), 2)
-		wantMs, wantSt := streamScan(orig, text, orig.Start(), AllSets)
-		gotMs, gotSt := streamScan(loaded, text, loaded.Start(), AllSets)
-		if !equalMatches(wantMs, gotMs) || gotSt != wantSt {
-			t.Fatalf("trial %d: loaded prefiltered matcher disagrees with original", trial)
-		}
-	}
-}
-
-func TestPrefilterSnapshotFallbackRoundTrip(t *testing.T) {
-	b := paperBuilder(t)
-	orig, err := b.BuildPrefiltered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !orig.Fallback() {
-		t.Fatal("paper set should compile to fallback")
-	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadPrefiltered(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.Fallback() || loaded.Stride() != 0 {
-		t.Fatal("fallback flag lost in round trip")
-	}
-	data := []byte("XEDAECDBCABBE")
-	wantMs, wantSt := streamScan(orig, data, orig.Start(), AllSets)
-	gotMs, gotSt := streamScan(loaded, data, loaded.Start(), AllSets)
-	if !equalMatches(wantMs, gotMs) || gotSt != wantSt {
-		t.Fatal("loaded fallback matcher disagrees with original")
-	}
-}
-
-func TestPrefilterSnapshotRejectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	b := NewBuilder()
-	if err := b.AddSet(0, randomPatterns(rng, 50, 8, 16, 30)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := b.BuildPrefiltered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap := buf.Bytes()
-
-	for cut := 0; cut < len(snap); cut += len(snap)/53 + 1 {
-		if _, err := ReadPrefiltered(bytes.NewReader(snap[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	corrupt := func(name string, mutate func(b []byte)) {
-		bad := append([]byte(nil), snap...)
-		mutate(bad)
-		if _, err := ReadPrefiltered(bytes.NewReader(bad)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	corrupt("bad magic", func(b []byte) { b[0] ^= 0xFF })
-	corrupt("bad version", func(b []byte) { b[4] = 99 })
-	corrupt("bad fallback flag", func(b []byte) { b[8] = 7 })
-	corrupt("bad stride", func(b []byte) { b[12] = 3 })
-	corrupt("bad hash bits", func(b []byte) { b[16] = 9 })
-	corrupt("zero min length", func(b []byte) { b[20], b[21], b[22], b[23] = 0, 0, 0, 0 })
-	corrupt("absurd max length", func(b []byte) { b[24], b[25], b[26], b[27] = 0xFF, 0xFF, 0xFF, 0x7F })
-	corrupt("absurd gram count", func(b []byte) { b[28], b[29], b[30], b[31] = 0xFF, 0xFF, 0xFF, 0x7F })
-	// Extent beyond maxLen in the back table (first uint16 after the
-	// 32-byte header and the 16 KiB bitset).
-	corrupt("absurd extent", func(b []byte) {
-		off := 32 + pfTableWords*8
-		b[off], b[off+1] = 0xFF, 0xFF
-	})
-}

@@ -209,3 +209,39 @@ func TestWriteTextQuantiles(t *testing.T) {
 		t.Fatalf("WriteText missing quantile lines:\n%s", out)
 	}
 }
+
+func TestSnapshotSince(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("c").Add(5)
+	r.Gauge("g").Set(3)
+	h := r.Histogram("h", SizeBounds)
+	h.Observe(10)
+	before := r.Snapshot()
+	r.Counter("c").Add(2)
+	r.Counter("new").Inc()
+	r.Gauge("g").Set(7)
+	h.Observe(10)
+	h.Observe(300)
+	d := r.Snapshot().Since(before)
+	if v, _ := d.Counter("c"); v != 2 {
+		t.Errorf("Counter(c) = %d, want 2", v)
+	}
+	if v, _ := d.Counter("new"); v != 1 {
+		t.Errorf("Counter(new) = %d, want 1", v)
+	}
+	if v, _ := d.Gauge("g"); v != 7 {
+		t.Errorf("Gauge(g) = %d, want the current 7", v)
+	}
+	hv, _ := d.Histogram("h")
+	var buckets uint64
+	for _, b := range hv.Buckets {
+		buckets += b.Count
+	}
+	if hv.Count != 2 || hv.Sum != 310 || buckets != 2 {
+		t.Errorf("histogram delta = %+v, want count 2, sum 310", hv)
+	}
+	// The earlier snapshot is not modified.
+	if hv, _ := before.Histogram("h"); hv.Count != 1 {
+		t.Errorf("earlier histogram changed: %+v", hv)
+	}
+}

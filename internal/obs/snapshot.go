@@ -154,6 +154,29 @@ func (s *Snapshot) Histogram(name string) (HistogramValue, bool) {
 	return HistogramValue{}, false
 }
 
+// Since returns what was recorded between an earlier snapshot of the
+// same registry and s: counters and histograms (count, sum, buckets)
+// less their earlier readings, gauges as s read them. Instruments the
+// earlier snapshot lacks count from zero.
+func (s *Snapshot) Since(earlier *Snapshot) *Snapshot {
+	d := &Snapshot{Gauges: s.Gauges}
+	for _, c := range s.Counters {
+		v, _ := earlier.Counter(c.Name)
+		d.Counters = append(d.Counters, CounterValue{Name: c.Name, Value: c.Value - v})
+	}
+	for _, h := range s.Histograms {
+		e, _ := earlier.Histogram(h.Name)
+		h.Buckets = append([]HistogramBucket(nil), h.Buckets...)
+		for i := range e.Buckets {
+			h.Buckets[i].Count -= e.Buckets[i].Count
+		}
+		h.Count -= e.Count
+		h.Sum -= e.Sum
+		d.Histograms = append(d.Histograms, h)
+	}
+	return d
+}
+
 // WriteJSON marshals the snapshot as indented JSON.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

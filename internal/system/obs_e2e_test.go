@@ -37,8 +37,8 @@ func scrape(t *testing.T, addr string) *obs.Snapshot {
 // flows: counters must be monotone between scrapes, and after the
 // system quiesces the scraped values must agree with the engine's own
 // telemetry snapshot. Run under -race this also proves the scrape path
-// (atomic reads under the registry lock) races with neither the scan
-// hot path nor the node's worker pool.
+// (atomic reads under the registry lock) does not race with the scan
+// hot path.
 func TestObservabilityEndToEnd(t *testing.T) {
 	tb, err := NewTestbed()
 	if err != nil {
@@ -57,11 +57,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := tb.AddParallelDPIInstance("dpi-1", []uint16{tag}, false, 2)
+	node, err := tb.AddDPIInstance("dpi-1", []uint16{tag}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.SetWorkers(0)
 
 	reg := node.Engine().Metrics()
 	srv, err := obs.StartDebugServer("127.0.0.1:0", obs.NewDebugMux(reg, obs.Health{Service: "dpi-node"}))
@@ -155,9 +154,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if bucketSum != h.Count {
 		t.Errorf("histogram buckets sum to %d, count is %d", bucketSum, h.Count)
 	}
-	// The worker pool feeds the scan-latency histogram.
-	if h, ok := final.Histogram("core.scan_ns"); !ok || h.Count == 0 {
-		t.Errorf("core.scan_ns not populated via the worker pool: %+v (present=%v)", h, ok)
+	// The node's timed scan feeds the scan-latency histogram.
+	if h, ok := final.Histogram("core.scan_ns"); !ok || h.Count != snap.Packets {
+		t.Errorf("core.scan_ns = %+v (present=%v), want one observation per packet", h, ok)
 	}
 	if frames, _ := final.Counter("dpinode.frames"); frames < total {
 		t.Errorf("dpinode.frames = %d, want >= %d", frames, total)

@@ -122,20 +122,6 @@ func (tb *Testbed) AddDPIInstance(id string, tags []uint16, dedicated bool) (*mi
 	return middlebox.NewDPINode(id, host, engine), nil
 }
 
-// AddParallelDPIInstance is AddDPIInstance plus a scan worker pool of
-// the given size on the node: packets of different flows scan on up to
-// `workers` cores inside one instance — the in-process equivalent of
-// the paper's one-VM-per-core deployment (Section 6.2). Call
-// node.SetWorkers(0) to stop the pool when tearing the testbed down.
-func (tb *Testbed) AddParallelDPIInstance(id string, tags []uint16, dedicated bool, workers int) (*middlebox.DPINode, error) {
-	node, err := tb.AddDPIInstance(id, tags, dedicated)
-	if err != nil {
-		return nil, err
-	}
-	node.SetWorkers(workers)
-	return node, nil
-}
-
 // AddLegacyMbox registers a middlebox and attaches a self-scanning
 // legacy node for it (the Figure 1(a) baseline). The chain tag must
 // already exist.

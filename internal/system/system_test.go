@@ -574,11 +574,11 @@ func TestStatefulAcrossPacketsThroughFabric(t *testing.T) {
 	waitFor(t, "stateful match", func() bool { return idsLogic.Total() == 1 })
 }
 
-// TestParallelDPIInstanceEndToEnd reruns the Figure 1(b) chain with the
-// instance node scanning on a worker pool: forwarding must stay in
-// arrival order and the middleboxes must reach the same conclusions as
-// with the synchronous node.
-func TestParallelDPIInstanceEndToEnd(t *testing.T) {
+// TestDPIInstanceArrivalOrderEndToEnd runs the Figure 1(b) chain — a
+// stateful read-only IDS and an AV consuming one scan — with several
+// patterns in one packet: forwarding must keep arrival order and each
+// middlebox must count exactly its own matches.
+func TestDPIInstanceArrivalOrderEndToEnd(t *testing.T) {
 	tb, err := NewTestbed()
 	if err != nil {
 		t.Fatal(err)
@@ -601,11 +601,9 @@ func TestParallelDPIInstanceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := tb.AddParallelDPIInstance("dpi-1", []uint16{tag}, false, 4)
-	if err != nil {
+	if _, err := tb.AddDPIInstance("dpi-1", []uint16{tag}, false); err != nil {
 		t.Fatal(err)
 	}
-	defer node.SetWorkers(0)
 
 	var fb traffic.FrameBuilder
 	tuple := packet.FiveTuple{
@@ -638,7 +636,7 @@ func TestParallelDPIInstanceEndToEnd(t *testing.T) {
 			}
 		}
 	})
-	// Forwarding preserved arrival order despite the worker pool.
+	// Forwarding preserved arrival order.
 	for i, f := range dataAtDst {
 		var s packet.Summary
 		if err := packet.Summarize(f, &s); err != nil {
