@@ -7,7 +7,6 @@ package dpiservice
 // the quick, `go test -bench=.` entry point.
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -282,44 +281,6 @@ func BenchmarkAblationMatchers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range corpus {
 				wm.Find(p, emit)
-			}
-		}
-	})
-}
-
-// BenchmarkWarmStart compares building the merged automaton from
-// patterns against loading it from a snapshot — the instance
-// warm-start path used when the controller scales out (Section 4.3).
-func BenchmarkWarmStart(b *testing.B) {
-	set := patterns.SnortLike(patterns.SnortFullSize, benchSeed)
-	bd := mpm.NewBuilder()
-	if err := bd.AddSet(0, set.Strings()); err != nil {
-		b.Fatal(err)
-	}
-	built, err := bd.BuildFull()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if _, err := built.WriteTo(&snap); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("build-from-patterns", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bd := mpm.NewBuilder()
-			if err := bd.AddSet(0, set.Strings()); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := bd.BuildFull(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("load-snapshot", func(b *testing.B) {
-		b.SetBytes(int64(snap.Len()))
-		for i := 0; i < b.N; i++ {
-			if _, err := mpm.ReadACFull(bytes.NewReader(snap.Bytes())); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

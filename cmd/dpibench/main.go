@@ -201,14 +201,14 @@ func runParallel(opt bench.Options) error {
 }
 
 func runLanes(opt bench.Options) error {
-	fmt.Println("== Lanes: the deployed scan on the low-match and attack corpora ==")
+	fmt.Println("== Lanes: the deployed scan on the low-match and attack corpora, and the cold-state walk ==")
 	results, err := bench.Lanes(opt)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-12s %10s %10s %10s\n", "corpus", "Mbps", "ns/pkt", "matches")
+	fmt.Printf("%-16s %10s %10s %10s\n", "corpus", "Mbps", "ns/pkt", "matches")
 	for _, r := range results {
-		fmt.Printf("%-12s %10.0f %10.0f %10d\n", r.Name, r.ThroughputMbps(), r.NsPerOp(), r.Matches)
+		fmt.Printf("%-16s %10.0f %10.0f %10d\n", r.Name, r.ThroughputMbps(), r.NsPerOp(), r.Matches)
 	}
 	fmt.Println()
 	return nil

@@ -266,8 +266,12 @@ func TestLanesQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 || results[0].Name != "low" || results[1].Name != "adversarial" {
-		t.Fatalf("results = %+v", results)
+	var names []string
+	for _, r := range results {
+		names = append(names, r.Name)
+	}
+	if want := []string{"low", "adversarial", "coldwalk", "coldwalk-compact"}; !slices.Equal(names, want) {
+		t.Fatalf("results %v, want %v", names, want)
 	}
 	for _, r := range results {
 		if r.ThroughputMbps() <= 0 {
@@ -277,6 +281,10 @@ func TestLanesQuick(t *testing.T) {
 	// The attack mix is packed with pattern text.
 	if low, adv := results[0], results[1]; adv.Matches <= low.Matches {
 		t.Errorf("matches: adversarial %d <= low-match %d", adv.Matches, low.Matches)
+	}
+	// Both automaton kinds find the same matches in the cold walk.
+	if full, compact := results[2], results[3]; full.Matches != compact.Matches || full.Matches == 0 {
+		t.Errorf("cold walk: %d matches with the full automaton, %d with the compact one", full.Matches, compact.Matches)
 	}
 }
 

@@ -393,11 +393,16 @@ func fig10Point(o Options, setA, setB, injectFrom *patterns.Set) (*Fig10Result, 
 // Lanes measures the deployed scan of the Snort-like set on the
 // low-match HTTP mix ("low") and on the attack mix ("adversarial", see
 // Options.Adversarial): the CI gate's common-case and worst-case rows.
+// "coldwalk" is the worst case of the hot/cold table: a ClamAV-like set
+// whose rows exceed the dense budget (2 000 patterns, 17 000 states,
+// under -quick; 4 356 and 36 270 otherwise), walked by the attack mix
+// stitched from the whole set, so the walks spend their bytes in cold
+// states. "coldwalk-compact" is AutoCompact on the same set and corpus.
 func Lanes(o Options) ([]Result, error) {
 	o.defaults()
-	total := patterns.SnortFullSize
+	total, clamTotal := patterns.SnortFullSize, patterns.SnortFullSize
 	if o.Quick {
-		total = 400
+		total, clamTotal = 400, 2000
 	}
 	set := patterns.SnortLike(total, o.Seed)
 	e, tag, err := EngineFor(core.AutoFull, set)
@@ -406,10 +411,25 @@ func Lanes(o Options) ([]Result, error) {
 	}
 	low, adv := o, o
 	low.Adversarial, adv.Adversarial = false, true
-	return []Result{
+	results := []Result{
 		MeasureEngine("low", e, tag, corpusFor(low, set), benchFlows, o.Repeat, 1),
 		MeasureEngine("adversarial", e, tag, corpusFor(adv, set), benchFlows, o.Repeat, 1),
-	}, nil
+	}
+	clam := patterns.ClamAVLike(clamTotal, o.Seed+1)
+	walk := traffic.NewGenerator(traffic.Config{
+		Seed: o.Seed + 7, Mix: traffic.AttackMix, InjectPatterns: clam.Strings(),
+	}).Corpus(o.CorpusBytes)
+	for _, kind := range []struct {
+		name string
+		kind core.AutomatonKind
+	}{{"coldwalk", core.AutoFull}, {"coldwalk-compact", core.AutoCompact}} {
+		e, tag, err := EngineFor(kind.kind, clam)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, MeasureEngine(kind.name, e, tag, walk, benchFlows, o.Repeat, 1))
+	}
+	return results, nil
 }
 
 // --- Figure 11 -------------------------------------------------------

@@ -11,11 +11,14 @@ import (
 
 // TestStatefulFlowsAcrossEntryWidths runs one stateful flow through
 // engines whose merged automaton has 65 535, 65 536 and 65 537 states —
-// uint16 table entries, uint16 entries using the last id they hold, and
-// uint32 entries — and asks of each what the table's entry width must
-// not change: patterns cut by a packet boundary are found from the state
-// the flow carried, the lane scheduler reports what per-packet Inspect
-// reports, and the IDS's section is the same at every width.
+// the last count whose ids a uint16 entry held, and one past it, where
+// the table's entries used to double to uint32 — and asks of each what
+// the size must not change: patterns cut by a packet boundary are found
+// from the state the flow carried, the lane scheduler reports what
+// per-packet Inspect reports, and the IDS's section is the same at
+// every size. The entries are 16-bit at all three, and the filler's
+// deep states are cold (past the 32 768 hot ones), so the cuts inside
+// it carry a cold state across packets.
 func TestStatefulFlowsAcrossEntryWidths(t *testing.T) {
 	const low = 65535
 	rng := rand.New(rand.NewSource(59))
@@ -57,9 +60,9 @@ func TestStatefulFlowsAcrossEntryWidths(t *testing.T) {
 		}
 		// One stream: IDS patterns around the filler (padded with a byte no
 		// pattern contains, so the patterns after it sit where they do at
-		// the other widths), cut into packets inside the filler (resuming
-		// from the automaton's deepest states, the highest ids among them)
-		// and inside IDS patterns.
+		// the other sizes), cut into packets inside the filler (resuming
+		// from the automaton's deepest states, cold ones, the highest ids
+		// among them) and inside IDS patterns.
 		stream := head + filler + strings.Repeat("!", low+2-target) + tail
 		atFiller, atTail := len(head), len(stream)-len(tail)
 		cuts := []int{0, 150, 300 + len(ids[3])/2, atFiller + len(filler)/2, atFiller + len(filler) - 1,

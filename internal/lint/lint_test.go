@@ -189,8 +189,9 @@ func TestModule(t *testing.T) {
 		"mpm.ACFull.Scan",
 		"mpm.ACFull.Advance",
 		"mpm.ACFull.ScanLanes",
-		"mpm.scan",
-		"mpm.advance",
+		"mpm.ACFull.solo",
+		"mpm.ACFull.leave",
+		"mpm.ACFull.coldStep",
 		"mpm.step4",
 		"mpm.step8",
 		"mpm.ACCompact.Scan",

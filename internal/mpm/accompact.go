@@ -32,9 +32,8 @@ func (b *Builder) BuildCompact() (*ACCompact, error) {
 	if err != nil {
 		return nil, err
 	}
-	oldToNew, newToOld, numAccepting := t.renumber()
-
 	n := t.numStates()
+	oldToNew, newToOld, numAccepting := t.renumber(int32(n))
 	a := &ACCompact{
 		edgeStart:    make([]int32, n+1),
 		edgeLabels:   make([]byte, 0, n-1),

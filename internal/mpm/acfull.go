@@ -1,39 +1,69 @@
 package mpm
 
 // ACFull is the full-table Aho-Corasick DFA with the paper's merged-set
-// extensions (Section 5.1): every state has a complete transition row,
-// so the scan loop is one table load and one compare per input byte;
-// accepting states occupy the dense ID range [0, numAccepting); each
-// accepting state carries a bitmap of the sets that care about it and a
-// direct-access match-table entry with its (set, pattern) pairs.
+// extensions (Section 5.1): a state's transitions are one table load
+// and one compare per input byte; each accepting state carries a bitmap
+// of the sets that care about it and a direct-access match-table entry
+// with its (set, pattern) pairs.
 //
 // The table is the one structure every packet of every tenant walks, so
 // it is laid out to stay cache-resident. A row has one entry per byte
 // class, not per byte: classOf maps the 256 byte values onto the bytes
 // that label some trie edge, and every byte no pattern contains shares
 // class 0 (from any state such a byte leads where any other of them
-// does). An entry is as narrow as the state count allows: uint16 up to
-// maxNarrowStates states, uint32 above. Both are fixed by BuildFull from
-// the patterns alone; exactly one of next16 and next32 is non-nil.
+// does). Only the hot states, the first H in breadth-first order, have
+// a row; H is as many as denseBudget holds, so every automaton whose
+// full table fits has a row for every state. The states past H are
+// cold: each keeps its goto edges and a failure link, as ACCompact's
+// states do, and a walk in one reads them until its failure chain
+// reaches a hot state again.
+//
+// State ids: the hot accepting states are [0, A), the other hot states
+// [A, H), in breadth-first order within each group; the cold states
+// [H, N) keep their breadth-first ids. A row entry holds the bits of an
+// int16: a hot state's id, or −1−j for the cold state H+j. Only children of hot
+// states appear in rows, and they are the consecutive states [H,
+// kids[H]) (the frontier), so j needs no table. One signed compare,
+// e < A, singles out the rare steps that land on an accepting or a cold
+// state — the paper's "state < f" (Section 5.1) with the cold states
+// below it. That caps H and the frontier at 32 768 states each. All of
+// it is fixed by BuildFull from the patterns alone.
 type ACFull struct {
 	classOf      [256]uint8
 	stride       int      // entries per row: the number of byte classes
-	next16       []uint16 // numStates*stride, row-major
-	next32       []uint32
+	next         []uint16 // the hot states' rows, row-major, then the escape row when there are cold states
+	hot          int32    // H: states [0, H) have rows
+	numAccepting int32    // A: the hot accepting states, [0, A)
 	match        matchTable
-	numAccepting int32
+	cold         []coldState // N−H+1 records: cold state s is cold[s−H]; the last only closes the one before
+	coldLabel    []byte      // coldLabel[c−H]: the byte on the goto edge into cold state c
 	numStates    int
 	numPatterns  int
 	startState   State
 }
 
-// stateID is a transition-table entry: a state id at one of the two
-// widths the table is built at.
-type stateID interface{ uint16 | uint32 }
+// coldState is a cold state's record, the trie's own: its children are
+// the states from kids to the next record's kids (consecutive, labels
+// ascending), its refs are the match table's refs from out to the next
+// record's out, and fail is its failure link, a hot or a cold state.
+// The fields share a record so that a step reads one cache line for
+// them.
+type coldState struct {
+	kids, fail int32
+	out        uint32
+}
 
-// maxNarrowStates is the largest state count whose ids all fit a uint16
-// entry.
-const maxNarrowStates = 1 << 16
+// denseBudget bounds the hot rows: H is the number of rows of
+// 2-byte entries that fit it, at most the state count. 4 MiB holds
+// every row of the 2 000-rule Snort-like set (23 206 × 84 entries, 3.9
+// MB), so its automaton is all hot, and the first 8 192 states of a
+// 256-class merge, which take 99.5 % of the steps of multi-tenant's
+// traffic (DESIGN.md, "Transition-table layout").
+const denseBudget = 4 << 20
+
+// maxEscapes bounds both the hot states, whose ids are the entries ≥ 0,
+// and the frontier, whose escapes are the entries < 0.
+const maxEscapes = 1 << 15
 
 // BuildFull constructs the full-table automaton from the builder's
 // patterns.
@@ -42,20 +72,14 @@ func (b *Builder) BuildFull() (*ACFull, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileFull(t, len(b.patterns), t.numStates() > maxNarrowStates), nil
+	return compileFull(t, len(b.patterns), t.numStates()), nil
 }
 
-// compileFull lays the trie out as a table of uint32 entries when wide,
-// of uint16 entries otherwise.
-func compileFull(t *trie, numPatterns int, wide bool) *ACFull {
-	oldToNew, newToOld, numAccepting := t.renumber()
-	a := &ACFull{
-		match:        t.matchTable(newToOld, numAccepting),
-		numAccepting: numAccepting,
-		numStates:    t.numStates(),
-		numPatterns:  numPatterns,
-		startState:   oldToNew[0],
-	}
+// compileFull lays the trie out with rows for at most maxHot states,
+// fewer where denseBudget or maxEscapes call for it. BuildFull
+// passes the state count; tests pass less to force cold states.
+func compileFull(t *trie, numPatterns, maxHot int) *ACFull {
+	a := &ACFull{numStates: t.numStates(), numPatterns: numPatterns}
 	// Class 0 is every byte no pattern contains; the bytes that label an
 	// edge take the classes after it in ascending order. When all 256 do,
 	// there is no class 0 to keep and they are numbered from it.
@@ -76,35 +100,63 @@ func compileFull(t *trie, numPatterns int, wide bool) *ACFull {
 			a.stride++
 		}
 	}
-	if wide {
-		a.next32 = fillRows[uint32](t, oldToNew, &a.classOf, a.stride)
-	} else {
-		a.next16 = fillRows[uint16](t, oldToNew, &a.classOf, a.stride)
+	hot := min(a.numStates, maxHot, denseBudget/(2*a.stride), maxEscapes)
+	// The cold states a row names are the frontier [hot, kids[hot]).
+	for int(t.kids[hot])-hot > maxEscapes {
+		hot--
+	}
+	oldToNew, newToOld, numAccepting := t.renumber(int32(hot))
+	a.hot, a.numAccepting, a.startState = int32(hot), numAccepting, oldToNew[0]
+	a.match = t.matchTable(newToOld, numAccepting)
+	a.next = fillRows(t, oldToNew, &a.classOf, a.stride, hot)
+	if hot < a.numStates {
+		a.cold = make([]coldState, a.numStates-hot+1)
+		for i := range a.cold {
+			s := hot + i
+			a.cold[i] = coldState{kids: t.kids[s], out: t.outOff[s]}
+			if s < a.numStates {
+				a.cold[i].fail = oldToNew[t.fail[s]]
+			}
+		}
+		a.coldLabel = append([]byte(nil), t.label[hot:]...)
 	}
 	return a
 }
 
-// fillRows builds the transition rows in BFS order: a missing goto edge
-// copies the failure target's (already complete) row entry. The root's
-// missing edges self-loop.
-func fillRows[S stateID](t *trie, oldToNew []int32, classOf *[256]uint8, stride int) []S {
-	next := make([]S, t.numStates()*stride)
-	rowOf := func(old int32) []S {
+// fillRows builds the hot states' rows in breadth-first order: a
+// missing goto edge copies the failure target's (shallower, so hot and
+// already complete) row entry. The root's missing edges self-loop. When
+// there are cold states, the escape row follows, every entry −1: a walk
+// parked on it leaves the fast path on every byte (see leave).
+func fillRows(t *trie, oldToNew []int32, classOf *[256]uint8, stride, hot int) []uint16 {
+	rows := hot
+	if hot < t.numStates() {
+		rows++
+	}
+	next := make([]uint16, rows*stride)
+	rowOf := func(old int32) []uint16 {
 		at := int(oldToNew[old]) * stride
 		return next[at : at+stride]
 	}
 	rootRow := rowOf(0)
 	for i := range rootRow {
-		rootRow[i] = S(oldToNew[0])
+		rootRow[i] = uint16(oldToNew[0])
 	}
-	for s := range int32(t.numStates()) {
+	for s := range int32(hot) {
 		row := rowOf(s)
 		if s != 0 {
 			copy(row, rowOf(t.fail[s]))
 		}
 		for c := t.kids[s]; c < t.kids[s+1]; c++ {
-			row[classOf[t.label[c]]] = S(oldToNew[c])
+			e := oldToNew[c]
+			if int(c) >= hot {
+				e = int32(hot) - 1 - c // the cold state c, breadth-first id and new id alike
+			}
+			row[classOf[t.label[c]]] = uint16(e)
 		}
+	}
+	for i := hot * stride; i < len(next); i++ {
+		next[i] = 0xffff // −1
 	}
 	return next
 }
@@ -115,36 +167,149 @@ func (a *ACFull) Start() State { return a.startState }
 // Scan implements Automaton. This is the hot loop of the DPI service:
 // per byte one class lookup (off the state dependency chain), one table
 // load and one compare against numAccepting, and — only on the rare
-// accepting states — one bitmap AND against the packet's
-// active-middlebox mask (Section 5.2).
+// accepting or cold states — the leave path, with its one bitmap AND
+// against the packet's active-middlebox mask (Section 5.2).
 //
 //dpi:hotpath
 func (a *ACFull) Scan(data []byte, state State, active uint64, emit EmitFunc) State {
-	if a.next16 != nil {
-		return scan(a, a.next16, data, state, active, emit, 0)
-	}
-	return scan(a, a.next32, data, state, active, emit, 0)
+	w := walk{data: data, active: active, emit: emit}
+	return a.solo(&w, len(data), state)
 }
 
-// scan is Scan over a table of either width; emitted positions count
-// from base, the bytes of the packet already consumed. A lone walk is
-// bound by the latency of state → multiply → add → load, so the class is
-// applied by re-slicing the table (work that does not wait for the
-// state) and only the multiply and the load stay on the chain; the lane
-// kernels, bound by instruction count instead, index the plain way.
+// walk is one scan in progress, as far as the leave path needs it: the
+// bytes, the active sets and emit callback, and the cold state the walk
+// is in (0 while it is hot, which no cold state is).
+type walk struct {
+	data   []byte // the bytes still to scan
+	base   int    // the bytes of the packet already scanned
+	cold   int
+	active uint64
+	emit   EmitFunc
+}
+
+// enter returns the row a walk from state reads next: the state's own,
+// or for a cold state the escape row, H.
 //
 //dpi:hotpath
-func scan[S stateID](a *ACFull, next []S, data []byte, state State, active uint64, emit EmitFunc, base int) State {
-	cls, stride := &a.classOf, uint(a.stride)
-	acc, bitmaps := uint(a.numAccepting), a.match.bitmaps
-	s := uint(state)
-	for i, c := range data {
-		s = uint(next[cls[c]:][s*stride])
-		if s < acc && bitmaps[s]&active != 0 {
-			emit(a.match.refsOf(State(s)), base+i+1)
+func (w *walk) enter(a *ACFull, state State) int {
+	if state >= a.hot {
+		w.cold = int(state)
+		return int(a.hot)
+	}
+	w.cold = 0
+	return int(state)
+}
+
+// exit is the state a walk that reads row next is in.
+//
+//dpi:hotpath
+func (w *walk) exit(row int) State {
+	if w.cold != 0 {
+		return State(w.cold)
+	}
+	return State(row)
+}
+
+// solo scans w's next n bytes from state. A lone walk is bound by the
+// latency of state → multiply → add → load, so the class is applied by
+// re-slicing the table (work that does not wait for the state) and
+// only the multiply and the load stay on the chain; the lane kernels,
+// bound by instruction count instead, index the plain way.
+//
+//dpi:hotpath
+func (a *ACFull) solo(w *walk, n int, state State) State {
+	next, cls, stride := a.next, &a.classOf, a.stride
+	acc := int16(a.numAccepting)
+	s := w.enter(a, state)
+	for i, c := range w.data[:n] {
+		s = int(next[cls[c]:][s*stride])
+		if int16(s) < acc {
+			s = a.leave(w, int16(s), i)
 		}
 	}
-	return State(s)
+	return w.exit(s)
+}
+
+// leave completes w's step over byte i whose entry e failed the fast
+// path's test: e is a hot accepting state, or e < 0. Then either the
+// walk was hot and e names the cold state it steps to, or the walk was
+// cold (it read the escape row) and the step is taken here: down the
+// cold failure chain until a state has a goto edge on the byte, or
+// until a hot state, whose row is exact. It emits the state reached if
+// it accepts for a set in w.active, and returns the row w reads next.
+//
+//dpi:hotpath
+func (a *ACFull) leave(w *walk, e int16, i int) int {
+	s, hot, end := a.stateOf(int(e)), int(a.hot), w.base+i+1
+	if w.cold != 0 {
+		s = a.coldStep(w.cold, w.data[i])
+	}
+	if s < hot {
+		w.cold = 0
+		if s < int(a.numAccepting) && a.match.bitmaps[s]&w.active != 0 {
+			w.emit(a.match.refsOf(State(s)), end)
+		}
+		return s
+	}
+	w.cold = s
+	if refs := a.coldRefs(s); len(refs) > 0 && setsOf(refs)&w.active != 0 {
+		w.emit(refs, end)
+	}
+	return hot
+}
+
+// coldStep returns the state cold state s steps to on byte c.
+//
+//dpi:hotpath
+func (a *ACFull) coldStep(s int, c byte) int {
+	hot := int(a.hot)
+	for s >= hot {
+		r := a.cold[s-hot : s-hot+2]
+		lo, end := int(r[0].kids), int(r[1].kids)
+		for hi := end; lo < hi; {
+			mid := int(uint(lo+hi) >> 1)
+			if a.coldLabel[mid-hot] < c {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < end && a.coldLabel[lo-hot] == c {
+			return lo
+		}
+		s = int(r[0].fail)
+	}
+	return a.stateOf(int(int16(a.next[s*a.stride+int(a.classOf[c])])))
+}
+
+// stateOf is the state a row entry e names.
+//
+//dpi:hotpath
+func (a *ACFull) stateOf(e int) int {
+	if e < 0 {
+		return int(a.hot) - 1 - e
+	}
+	return e
+}
+
+// coldRefs returns cold state s's refs, empty unless it accepts.
+//
+//dpi:hotpath
+func (a *ACFull) coldRefs(s int) []PatternRef {
+	r := a.cold[s-int(a.hot):]
+	lo, hi := r[0].out, r[1].out
+	return a.match.refs[lo:hi:hi]
+}
+
+// setsOf is the bitmap of the sets refs belong to.
+//
+//dpi:hotpath
+func setsOf(refs []PatternRef) uint64 {
+	var m uint64
+	for _, r := range refs {
+		m |= 1 << r.Set
+	}
+	return m
 }
 
 // NumStates implements Automaton.
@@ -153,19 +318,34 @@ func (a *ACFull) NumStates() int { return a.numStates }
 // NumPatterns implements Automaton.
 func (a *ACFull) NumPatterns() int { return a.numPatterns }
 
-// NumAccepting reports f, the number of accepting states.
-func (a *ACFull) NumAccepting() int { return int(a.numAccepting) }
+// NumAccepting reports f, the number of accepting states, hot and cold.
+func (a *ACFull) NumAccepting() int {
+	n := int(a.numAccepting)
+	for i := 1; i < len(a.cold); i++ {
+		if a.cold[i].out > a.cold[i-1].out {
+			n++
+		}
+	}
+	return n
+}
 
 // MatchRefs returns the match-table entry of an accepting state.
 func (a *ACFull) MatchRefs(s State) []PatternRef {
-	if s >= a.numAccepting {
-		return nil
+	switch {
+	case s < a.numAccepting:
+		return a.match.refsOf(s)
+	case s >= a.hot:
+		return a.coldRefs(int(s))
 	}
-	return a.match.refsOf(s)
+	return nil
 }
 
-// MemoryBytes implements Automaton: the class map, the transition table
-// at its entry width and the match table.
+// MemoryBytes implements Automaton: the class map, the rows, the match
+// table and the cold states' records and labels.
 func (a *ACFull) MemoryBytes() int64 {
-	return int64(len(a.classOf)) + int64(len(a.next16))*2 + int64(len(a.next32))*4 + a.match.memoryBytes()
+	return int64(len(a.classOf)) + int64(len(a.next))*2 + a.match.memoryBytes() +
+		int64(len(a.cold))*coldStateBytes + int64(len(a.coldLabel))
 }
+
+// coldStateBytes is the in-memory size of a coldState.
+const coldStateBytes = 12

@@ -16,6 +16,7 @@ import (
 var (
 	pfFuzzOnce  sync.Once
 	pfFuzzPlain *ACFull
+	pfFuzzTrie  *trie
 	pfFuzzPref  *PrefilteredAC
 	pfFuzzPats  []string
 )
@@ -34,11 +35,15 @@ func pfFuzzSetup(t interface{ Fatal(args ...any) }) {
 		if err != nil {
 			return
 		}
+		tr, err := b.buildTrie()
+		if err != nil {
+			return
+		}
 		pf, err := b.BuildPrefiltered()
 		if err != nil {
 			return
 		}
-		pfFuzzPlain, pfFuzzPref, pfFuzzPats = plain, pf, set
+		pfFuzzPlain, pfFuzzTrie, pfFuzzPref, pfFuzzPats = plain, tr, pf, set
 	})
 	if pfFuzzPlain == nil {
 		t.Fatal("fuzz automaton setup failed")
@@ -95,7 +100,9 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 // lanes stream through the slots, of whatever lengths and from whatever
 // states, each lane's match stream and final state are those of Scan on
 // that lane alone. The fuzzer's bytes are the text the lanes walk; the
-// seed draws the run's shape — 0 to 70 lanes (none, fewer than the
+// seed draws the run's shape — the hot count of the layout (all states
+// in one run of four, else 1 to all, so lanes go cold and come back
+// side by side with hot ones), 0 to 70 lanes (none, fewer than the
 // slots, many refills), 0 to 1500 bytes each, half of them resuming
 // mid-pattern, one in eight with every set masked off.
 func FuzzScanLanes(f *testing.F) {
@@ -108,6 +115,9 @@ func FuzzScanLanes(f *testing.F) {
 		pfFuzzSetup(t)
 		a, pats := pfFuzzPlain, pfFuzzPats
 		rng := rand.New(rand.NewSource(seed))
+		if rng.Intn(4) != 0 {
+			a = compileFull(pfFuzzTrie, len(pats), 1+rng.Intn(a.NumStates()))
+		}
 		lanes := make([]Lane, rng.Intn(71))
 		wantStates := make([]State, len(lanes))
 		wantMs := make([][]matchRec, len(lanes))
@@ -150,7 +160,8 @@ func FuzzScanLanes(f *testing.F) {
 
 // FuzzACFullEquivalence asserts the transition-table layout's invariant:
 // whatever the patterns' alphabet — and so whatever the byte-class map
-// and row stride — the automaton finds in a payload exactly what the
+// and row stride — and however many states are hot (hot picks 1 to all
+// of them), the automaton finds in a payload exactly what the
 // naive matcher finds, whole or cut in two packets with the state
 // carried, and the lanes agree with the solo scan (checkAgainstNaive).
 // The compact automaton, the engine's other kind, must find the same
@@ -168,10 +179,10 @@ func FuzzACFullEquivalence(f *testing.F) {
 		}
 		every = append(every, byte(c))
 	}
-	f.Add(every, []byte("\x00\x01\x02\x03\x04\x05\x06\x07\xf8\xf9\xfa\xfb\xfc\xfd\xfe\xff"), uint16(5))
-	f.Add([]byte{0, 'a', 2, 'a', 'a', 'a'}, []byte("aaaaXaaa\x00aa"), uint16(4)) // one byte: class 0 and one more
-	f.Add([]byte{1, 'h', 'e', 2, 's', 'h', 'e', 2, 'h', 'i', 's', 3, 'h', 'e', 'r', 's'}, []byte("ushers and his"), uint16(3))
-	f.Fuzz(func(t *testing.T, pats, data []byte, split uint16) {
+	f.Add(every, []byte("\x00\x01\x02\x03\x04\x05\x06\x07\xf8\xf9\xfa\xfb\xfc\xfd\xfe\xff"), uint16(5), uint16(0xffff))
+	f.Add([]byte{0, 'a', 2, 'a', 'a', 'a'}, []byte("aaaaXaaa\x00aa"), uint16(4), uint16(1)) // one byte: class 0 and one more
+	f.Add([]byte{1, 'h', 'e', 2, 's', 'h', 'e', 2, 'h', 'i', 's', 3, 'h', 'e', 'r', 's'}, []byte("ushers and his"), uint16(3), uint16(2))
+	f.Fuzz(func(t *testing.T, pats, data []byte, split, hot uint16) {
 		b := NewBuilder()
 		for n := 0; len(pats) > 1 && n < 64; n++ {
 			l := min(1+int(pats[0]%8), len(pats)-1)
@@ -185,10 +196,11 @@ func FuzzACFullEquivalence(f *testing.F) {
 		}
 		data = data[:min(len(data), 4096)]
 		checkTrieAgainstReference(t, b)
-		a, err := b.BuildFull()
+		tr, err := b.buildTrie()
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := compileFull(tr, len(b.patterns), 1+int(hot)%tr.numStates())
 		var cuts []int
 		if len(data) > 0 {
 			cuts = []int{int(split) % len(data)}

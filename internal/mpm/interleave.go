@@ -37,12 +37,9 @@ type Lane struct {
 // and taken out with Drop before the next Advance. The zero value is
 // empty.
 type Lanes struct {
-	n      int
-	d      [LaneWidth][]byte // each walk's bytes still to scan
-	base   [LaneWidth]int    // bytes of it already scanned
-	s      [LaneWidth]State
-	active [LaneWidth]uint64
-	emit   [LaneWidth]EmitFunc
+	n int
+	s [LaneWidth]State
+	w [LaneWidth]walk
 }
 
 // Len reports how many walks are in flight.
@@ -54,13 +51,12 @@ func (ls *Lanes) Len() int { return ls.n }
 //
 //dpi:hotpath
 func (ls *Lanes) Put(l Lane) {
-	k := ls.n
-	ls.d[k], ls.base[k], ls.s[k], ls.active[k], ls.emit[k] = l.Data, 0, l.State, l.Active, l.Emit
+	ls.s[ls.n], ls.w[ls.n] = l.State, walk{data: l.Data, active: l.Active, emit: l.Emit}
 	ls.n++
 }
 
 // Done reports whether slot k's walk has consumed all its bytes.
-func (ls *Lanes) Done(k int) bool { return len(ls.d[k]) == 0 }
+func (ls *Lanes) Done(k int) bool { return len(ls.w[k].data) == 0 }
 
 // State returns the DFA state slot k's walk has reached.
 func (ls *Lanes) State(k int) State { return ls.s[k] }
@@ -71,91 +67,105 @@ func (ls *Lanes) State(k int) State { return ls.s[k] }
 //dpi:hotpath
 func (ls *Lanes) Drop(k int) {
 	ls.n--
-	m := ls.n
-	ls.d[k], ls.base[k], ls.s[k], ls.active[k], ls.emit[k] = ls.d[m], ls.base[m], ls.s[m], ls.active[m], ls.emit[m]
+	ls.s[k], ls.w[k] = ls.s[ls.n], ls.w[ls.n]
 }
 
 // Advance moves every walk forward by the bytes the shortest has left,
 // so at least one is Done afterwards. Per walk, the emitted matches and
 // the state reached are those of Scan over the same bytes; only the
 // instruction schedule differs. Five to eight walks run in the eight-wide
-// kernel, two to four in the four-wide one, a single walk in scan; empty
+// kernel, two to four in the four-wide one, a single walk in solo; empty
 // slots of a kernel shadow slot 0 with every set masked off, which
 // costs no cache line slot 0 does not already fetch.
 //
 //dpi:hotpath
 func (a *ACFull) Advance(ls *Lanes) {
-	if a.next16 != nil {
-		advance(a, a.next16, ls)
-	} else {
-		advance(a, a.next32, ls)
-	}
-}
-
-// advance is Advance over a table of either width.
-//
-//dpi:hotpath
-func advance[S stateID](a *ACFull, next []S, ls *Lanes) {
 	if ls.n == 0 {
 		return
 	}
-	n := len(ls.d[0])
+	n := len(ls.w[0].data)
 	for k := 1; k < ls.n; k++ {
-		if len(ls.d[k]) < n {
-			n = len(ls.d[k])
-		}
+		n = min(n, len(ls.w[k].data))
 	}
 	switch {
 	case ls.n == 1:
-		ls.s[0] = scan(a, next, ls.d[0][:n], ls.s[0], ls.active[0], ls.emit[0], ls.base[0])
+		ls.s[0] = a.solo(&ls.w[0], n, ls.s[0])
 	case ls.n <= LaneWidth/2:
-		ls.shadow(LaneWidth / 2)
-		step4(a, next, ls, n)
+		ls.shadow(a, LaneWidth/2)
+		step4(a, ls, n)
 	default:
-		ls.shadow(LaneWidth)
-		step8(a, next, ls, n)
+		ls.shadow(a, LaneWidth)
+		step8(a, ls, n)
 	}
 	for k := 0; k < ls.n; k++ {
-		ls.d[k] = ls.d[k][n:]
-		ls.base[k] += n
+		w := &ls.w[k]
+		if ls.n > 1 {
+			ls.s[k] = w.exit(int(ls.s[k]))
+		}
+		w.data = w.data[n:]
+		w.base += n
 	}
 }
 
 // shadow points the empty slots below width at slot 0's bytes and state
 // with no set active, so a kernel wider than Len() has bytes to walk
-// and nothing to emit.
+// and nothing to emit, and turns every slot's state into the row its
+// walk reads next (walk.enter).
 //
 //dpi:hotpath
-func (ls *Lanes) shadow(width int) {
+func (ls *Lanes) shadow(a *ACFull, width int) {
 	for k := ls.n; k < width; k++ {
-		ls.d[k], ls.s[k], ls.active[k] = ls.d[0], ls.s[0], 0
+		ls.s[k], ls.w[k] = ls.s[0], walk{data: ls.w[0].data}
+	}
+	for k := 0; k < width; k++ {
+		ls.s[k] = State(ls.w[k].enter(a, ls.s[k]))
 	}
 }
 
-// step4 walks slots 0-3 in lockstep over their next n bytes.
+// step4 walks slots 0-3 in lockstep over their next n bytes. Per slot
+// and byte the fast path is one class lookup, one table load and the
+// compare int16(entry) < A (ACFull). Behind it, a hot accepting state
+// is emitted here, as in Scan, and a negative entry — a cold state, or
+// the escape row of a walk already cold — goes to ACFull.leave.
 //
 //dpi:hotpath
-func step4[S stateID](a *ACFull, next []S, ls *Lanes, n int) {
-	cls, stride := &a.classOf, uint(a.stride)
-	acc, bitmaps := uint(a.numAccepting), a.match.bitmaps
-	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
-	s0, s1, s2, s3 := uint(ls.s[0]), uint(ls.s[1]), uint(ls.s[2]), uint(ls.s[3])
+func step4(a *ACFull, ls *Lanes, n int) {
+	next, cls, stride := a.next, &a.classOf, a.stride
+	acc, bitmaps := int16(a.numAccepting), a.match.bitmaps
+	d0, d1, d2, d3 := ls.w[0].data[:n], ls.w[1].data[:n], ls.w[2].data[:n], ls.w[3].data[:n]
+	s0, s1, s2, s3 := int(ls.s[0]), int(ls.s[1]), int(ls.s[2]), int(ls.s[3])
 	for i := 0; i < n; i++ {
-		s0 = uint(next[s0*stride+uint(cls[d0[i]])])
-		s1 = uint(next[s1*stride+uint(cls[d1[i]])])
-		s2 = uint(next[s2*stride+uint(cls[d2[i]])])
-		s3 = uint(next[s3*stride+uint(cls[d3[i]])])
-		if s0 < acc && bitmaps[s0]&ls.active[0] != 0 {
-			ls.emit[0](a.match.refsOf(State(s0)), ls.base[0]+i+1)
+		s0 = int(next[s0*stride+int(cls[d0[i]])])
+		s1 = int(next[s1*stride+int(cls[d1[i]])])
+		s2 = int(next[s2*stride+int(cls[d2[i]])])
+		s3 = int(next[s3*stride+int(cls[d3[i]])])
+		if int16(s0) < acc {
+			if s0 >= int(acc) {
+				s0 = a.leave(&ls.w[0], int16(s0), i)
+			} else if bitmaps[s0]&ls.w[0].active != 0 {
+				ls.w[0].emit(a.match.refsOf(State(s0)), ls.w[0].base+i+1)
+			}
 		}
-		if s1 < acc && bitmaps[s1]&ls.active[1] != 0 {
-			ls.emit[1](a.match.refsOf(State(s1)), ls.base[1]+i+1)
+		if int16(s1) < acc {
+			if s1 >= int(acc) {
+				s1 = a.leave(&ls.w[1], int16(s1), i)
+			} else if bitmaps[s1]&ls.w[1].active != 0 {
+				ls.w[1].emit(a.match.refsOf(State(s1)), ls.w[1].base+i+1)
+			}
 		}
-		if s2 < acc && bitmaps[s2]&ls.active[2] != 0 {
-			ls.emit[2](a.match.refsOf(State(s2)), ls.base[2]+i+1)
+		if int16(s2) < acc {
+			if s2 >= int(acc) {
+				s2 = a.leave(&ls.w[2], int16(s2), i)
+			} else if bitmaps[s2]&ls.w[2].active != 0 {
+				ls.w[2].emit(a.match.refsOf(State(s2)), ls.w[2].base+i+1)
+			}
 		}
-		if s3 < acc && bitmaps[s3]&ls.active[3] != 0 {
-			ls.emit[3](a.match.refsOf(State(s3)), ls.base[3]+i+1)
+		if int16(s3) < acc {
+			if s3 >= int(acc) {
+				s3 = a.leave(&ls.w[3], int16(s3), i)
+			} else if bitmaps[s3]&ls.w[3].active != 0 {
+				ls.w[3].emit(a.match.refsOf(State(s3)), ls.w[3].base+i+1)
+			}
 		}
 	}
 	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = State(s0), State(s1), State(s2), State(s3)
@@ -164,45 +174,77 @@ func step4[S stateID](a *ACFull, next []S, ls *Lanes, n int) {
 // step8 walks all eight slots in lockstep over their next n bytes.
 //
 //dpi:hotpath
-func step8[S stateID](a *ACFull, next []S, ls *Lanes, n int) {
-	cls, stride := &a.classOf, uint(a.stride)
-	acc, bitmaps := uint(a.numAccepting), a.match.bitmaps
-	d0, d1, d2, d3 := ls.d[0][:n], ls.d[1][:n], ls.d[2][:n], ls.d[3][:n]
-	d4, d5, d6, d7 := ls.d[4][:n], ls.d[5][:n], ls.d[6][:n], ls.d[7][:n]
-	s0, s1, s2, s3 := uint(ls.s[0]), uint(ls.s[1]), uint(ls.s[2]), uint(ls.s[3])
-	s4, s5, s6, s7 := uint(ls.s[4]), uint(ls.s[5]), uint(ls.s[6]), uint(ls.s[7])
+func step8(a *ACFull, ls *Lanes, n int) {
+	next, cls, stride := a.next, &a.classOf, a.stride
+	acc, bitmaps := int16(a.numAccepting), a.match.bitmaps
+	d0, d1, d2, d3 := ls.w[0].data[:n], ls.w[1].data[:n], ls.w[2].data[:n], ls.w[3].data[:n]
+	d4, d5, d6, d7 := ls.w[4].data[:n], ls.w[5].data[:n], ls.w[6].data[:n], ls.w[7].data[:n]
+	s0, s1, s2, s3 := int(ls.s[0]), int(ls.s[1]), int(ls.s[2]), int(ls.s[3])
+	s4, s5, s6, s7 := int(ls.s[4]), int(ls.s[5]), int(ls.s[6]), int(ls.s[7])
 	for i := 0; i < n; i++ {
-		s0 = uint(next[s0*stride+uint(cls[d0[i]])])
-		s1 = uint(next[s1*stride+uint(cls[d1[i]])])
-		s2 = uint(next[s2*stride+uint(cls[d2[i]])])
-		s3 = uint(next[s3*stride+uint(cls[d3[i]])])
-		s4 = uint(next[s4*stride+uint(cls[d4[i]])])
-		s5 = uint(next[s5*stride+uint(cls[d5[i]])])
-		s6 = uint(next[s6*stride+uint(cls[d6[i]])])
-		s7 = uint(next[s7*stride+uint(cls[d7[i]])])
-		if s0 < acc && bitmaps[s0]&ls.active[0] != 0 {
-			ls.emit[0](a.match.refsOf(State(s0)), ls.base[0]+i+1)
+		s0 = int(next[s0*stride+int(cls[d0[i]])])
+		s1 = int(next[s1*stride+int(cls[d1[i]])])
+		s2 = int(next[s2*stride+int(cls[d2[i]])])
+		s3 = int(next[s3*stride+int(cls[d3[i]])])
+		s4 = int(next[s4*stride+int(cls[d4[i]])])
+		s5 = int(next[s5*stride+int(cls[d5[i]])])
+		s6 = int(next[s6*stride+int(cls[d6[i]])])
+		s7 = int(next[s7*stride+int(cls[d7[i]])])
+		if int16(s0) < acc {
+			if s0 >= int(acc) {
+				s0 = a.leave(&ls.w[0], int16(s0), i)
+			} else if bitmaps[s0]&ls.w[0].active != 0 {
+				ls.w[0].emit(a.match.refsOf(State(s0)), ls.w[0].base+i+1)
+			}
 		}
-		if s1 < acc && bitmaps[s1]&ls.active[1] != 0 {
-			ls.emit[1](a.match.refsOf(State(s1)), ls.base[1]+i+1)
+		if int16(s1) < acc {
+			if s1 >= int(acc) {
+				s1 = a.leave(&ls.w[1], int16(s1), i)
+			} else if bitmaps[s1]&ls.w[1].active != 0 {
+				ls.w[1].emit(a.match.refsOf(State(s1)), ls.w[1].base+i+1)
+			}
 		}
-		if s2 < acc && bitmaps[s2]&ls.active[2] != 0 {
-			ls.emit[2](a.match.refsOf(State(s2)), ls.base[2]+i+1)
+		if int16(s2) < acc {
+			if s2 >= int(acc) {
+				s2 = a.leave(&ls.w[2], int16(s2), i)
+			} else if bitmaps[s2]&ls.w[2].active != 0 {
+				ls.w[2].emit(a.match.refsOf(State(s2)), ls.w[2].base+i+1)
+			}
 		}
-		if s3 < acc && bitmaps[s3]&ls.active[3] != 0 {
-			ls.emit[3](a.match.refsOf(State(s3)), ls.base[3]+i+1)
+		if int16(s3) < acc {
+			if s3 >= int(acc) {
+				s3 = a.leave(&ls.w[3], int16(s3), i)
+			} else if bitmaps[s3]&ls.w[3].active != 0 {
+				ls.w[3].emit(a.match.refsOf(State(s3)), ls.w[3].base+i+1)
+			}
 		}
-		if s4 < acc && bitmaps[s4]&ls.active[4] != 0 {
-			ls.emit[4](a.match.refsOf(State(s4)), ls.base[4]+i+1)
+		if int16(s4) < acc {
+			if s4 >= int(acc) {
+				s4 = a.leave(&ls.w[4], int16(s4), i)
+			} else if bitmaps[s4]&ls.w[4].active != 0 {
+				ls.w[4].emit(a.match.refsOf(State(s4)), ls.w[4].base+i+1)
+			}
 		}
-		if s5 < acc && bitmaps[s5]&ls.active[5] != 0 {
-			ls.emit[5](a.match.refsOf(State(s5)), ls.base[5]+i+1)
+		if int16(s5) < acc {
+			if s5 >= int(acc) {
+				s5 = a.leave(&ls.w[5], int16(s5), i)
+			} else if bitmaps[s5]&ls.w[5].active != 0 {
+				ls.w[5].emit(a.match.refsOf(State(s5)), ls.w[5].base+i+1)
+			}
 		}
-		if s6 < acc && bitmaps[s6]&ls.active[6] != 0 {
-			ls.emit[6](a.match.refsOf(State(s6)), ls.base[6]+i+1)
+		if int16(s6) < acc {
+			if s6 >= int(acc) {
+				s6 = a.leave(&ls.w[6], int16(s6), i)
+			} else if bitmaps[s6]&ls.w[6].active != 0 {
+				ls.w[6].emit(a.match.refsOf(State(s6)), ls.w[6].base+i+1)
+			}
 		}
-		if s7 < acc && bitmaps[s7]&ls.active[7] != 0 {
-			ls.emit[7](a.match.refsOf(State(s7)), ls.base[7]+i+1)
+		if int16(s7) < acc {
+			if s7 >= int(acc) {
+				s7 = a.leave(&ls.w[7], int16(s7), i)
+			} else if bitmaps[s7]&ls.w[7].active != 0 {
+				ls.w[7].emit(a.match.refsOf(State(s7)), ls.w[7].base+i+1)
+			}
 		}
 	}
 	ls.s[0], ls.s[1], ls.s[2], ls.s[3] = State(s0), State(s1), State(s2), State(s3)

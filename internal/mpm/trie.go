@@ -239,17 +239,19 @@ func sortRefs(refs []PatternRef) {
 	})
 }
 
-// renumber assigns dense new state IDs with all accepting states first,
-// implementing the paper's trick of making acceptance a single
-// "state < f" comparison and the match table a direct-access array
-// (Section 5.1). It returns old→new and new→old mappings and f, the
-// number of accepting states. Both groups keep breadth-first order.
-func (t *trie) renumber() (oldToNew, newToOld []int32, numAccepting int32) {
+// renumber assigns new state IDs to the first hot states in
+// breadth-first order, the accepting ones first — the paper's trick of
+// making acceptance a single "state < f" comparison and the match table
+// a direct-access array (Section 5.1) — and keeps the breadth-first ids
+// of the states from hot on. It returns old→new and new→old mappings
+// and f, the number of accepting states below hot. Both groups keep
+// breadth-first order.
+func (t *trie) renumber(hot int32) (oldToNew, newToOld []int32, numAccepting int32) {
 	n := int32(t.numStates())
 	oldToNew = make([]int32, n)
 	newToOld = make([]int32, n)
 	next := int32(0)
-	for s := int32(0); s < n; s++ {
+	for s := int32(0); s < hot; s++ {
 		if t.accepting(s) {
 			oldToNew[s] = next
 			newToOld[next] = s
@@ -258,7 +260,7 @@ func (t *trie) renumber() (oldToNew, newToOld []int32, numAccepting int32) {
 	}
 	numAccepting = next
 	for s := int32(0); s < n; s++ {
-		if !t.accepting(s) {
+		if s >= hot || !t.accepting(s) {
 			oldToNew[s] = next
 			newToOld[next] = s
 			next++
@@ -281,9 +283,10 @@ type matchTable struct {
 }
 
 // matchTable builds the direct-access match table and per-state
-// middlebox bitmaps for the accepting states. The accepting states keep
-// breadth-first order under renumber and the others own no refs, so the
-// trie's ref array already sits in new-ID order and is shared as is.
+// middlebox bitmaps for the accepting states [0, numAccepting). They
+// keep breadth-first order under renumber and the others below hot own
+// no refs, so the trie's ref array already sits in new-ID order and is
+// shared as is; the states from hot on own its tail.
 func (t *trie) matchTable(newToOld []int32, numAccepting int32) matchTable {
 	m := matchTable{off: make([]uint32, numAccepting+1), refs: t.refs}
 	for newID, old := range newToOld[:numAccepting] {
