@@ -7,13 +7,17 @@ package dpiservice
 // the quick, `go test -bench=.` entry point.
 
 import (
+	"context"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"dpiservice/internal/bench"
+	"dpiservice/internal/controller"
 	"dpiservice/internal/core"
+	"dpiservice/internal/ctlproto"
 	"dpiservice/internal/mpm"
 	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
@@ -665,6 +669,86 @@ func BenchmarkFlowTable(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
 			b.ReportMetric(float64(ms.Mallocs-allocs0)/pkts, "allocs/pkt")
 			b.ReportMetric(100*float64(misses.Value()-m0)/float64(hits.Value()-h0+misses.Value()-m0), "miss%")
+		})
+	}
+}
+
+// BenchmarkInstanceInit is the hello RPC an instance waits for before it
+// can compile (Sections 4.1, 5.1): the controller renders and encodes
+// the multi-tenant configuration, the instance reads and decodes it and
+// rebuilds the engine configuration (ConfigFromInit), over loopback TCP
+// to an in-process controller. warm repeats the hello at one
+// configuration version; cold changes the configuration before each
+// hello, as a pattern update does.
+func BenchmarkInstanceInit(b *testing.B) {
+	ctl := controller.New()
+	var fw []ctlproto.PatternDef
+	for _, p := range []string{"/admin/", "/cgi-bin/", "/scripts/", "/wp-content/", "/phpmyadmin/", "/manager/", "/console/", "/backup/"} {
+		for _, q := range []string{"cmd", "exec", "file", "path"} {
+			fw = append(fw, ctlproto.PatternDef{RuleID: len(fw), Regex: p + `[a-z0-9]{2,12}\.(php|asp|cgi)\?` + q + `=[a-z/.]{1,24}`})
+		}
+	}
+	literal := func(s *patterns.Set) []ctlproto.PatternDef {
+		defs := make([]ctlproto.PatternDef, len(s.Patterns))
+		for i, p := range s.Patterns {
+			defs[i] = ctlproto.PatternDef{RuleID: p.ID, Content: []byte(p.Content)}
+		}
+		return defs
+	}
+	for _, m := range []struct {
+		id       string
+		stateful bool
+		defs     []ctlproto.PatternDef
+	}{
+		{"ids-1", true, literal(patterns.SnortLike(2000, 1))},
+		{"av-1", false, literal(patterns.ClamAVLike(2000, 3))},
+		{"ids-2", true, literal(patterns.SnortLike(2000, 2))},
+		{"fw-1", false, fw},
+	} {
+		if _, err := ctl.Register(ctlproto.Register{MboxID: m.id, Name: m.id, Type: m.id, Stateful: m.stateful}); err != nil {
+			b.Fatal(err)
+		}
+		if err := ctl.AddPatterns(m.id, m.defs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, ch := range [][]string{{"ids-1", "av-1"}, {"ids-2", "fw-1"}} {
+		if _, err := ctl.DefineChain(ch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := controller.Serve(ctl, ln, nil)
+	defer srv.Close()
+	cl, err := controller.Dial(ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	for _, bc := range []struct {
+		name string
+		cold bool
+	}{{"warm", false}, {"cold", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if bc.cold {
+					// Re-adding a rule moves the version: the next hello renders afresh.
+					if err := ctl.AddPatterns("fw-1", fw[:1]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				init, err := cl.InstanceHello(context.Background(), "dpi-1", nil, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := controller.ConfigFromInit(init); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

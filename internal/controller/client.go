@@ -298,11 +298,7 @@ func (c *Client) InstanceHello(ctx context.Context, instanceID string, chains []
 	if env.Type != ctlproto.TypeInstanceInit {
 		return ctlproto.InstanceInit{}, errors.New("controller: unexpected reply " + string(env.Type))
 	}
-	var init ctlproto.InstanceInit
-	if err := env.Decode(&init); err != nil {
-		return ctlproto.InstanceInit{}, err
-	}
-	return init, nil
+	return ctlproto.DecodeInstanceInit(env.Body)
 }
 
 // SendTelemetry exports an instance's counters to the controller.

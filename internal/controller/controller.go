@@ -9,9 +9,11 @@
 package controller
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -58,6 +60,11 @@ type Controller struct {
 	nextWireID uint32
 
 	version uint64 // bumped on any change affecting instance configs
+
+	// initCache holds the encoded profile and chain sections of
+	// instance_init bodies rendered at initVersion, keyed by initKey.
+	initVersion uint64
+	initCache   map[string][]byte
 
 	// lease holds the liveness configuration (ConfigureLeases).
 	lease LeaseConfig
@@ -419,13 +426,25 @@ func (c *Controller) wireTokenLocked(peerID string) uint64 {
 func (c *Controller) InstanceConfig(tags []uint16, compact bool) (core.Config, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if tags == nil {
-		tags = make([]uint16, 0, len(c.chains))
-		for t := range c.chains {
-			tags = append(tags, t)
-		}
-		sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	return c.instanceConfigLocked(c.tagsLocked(tags), compact)
+}
+
+// tagsLocked resolves an instance's served chains: nil means every
+// chain, in ascending tag order.
+func (c *Controller) tagsLocked(tags []uint16) []uint16 {
+	if tags != nil {
+		return tags
 	}
+	tags = make([]uint16, 0, len(c.chains))
+	for t := range c.chains {
+		tags = append(tags, t)
+	}
+	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
+	return tags
+}
+
+// instanceConfigLocked is InstanceConfig for resolved tags.
+func (c *Controller) instanceConfigLocked(tags []uint16, compact bool) (core.Config, error) {
 	cfg := core.Config{Chains: make(map[uint16][]int, len(tags))}
 	if compact {
 		cfg.Kind = core.AutoCompact
@@ -504,22 +523,58 @@ func (c *Controller) profileLocked(set *setRecord) core.Profile {
 	return p
 }
 
-// InstanceInitMsg renders an InstanceConfig as the wire message sent to
-// a remote DPI service instance.
+// InstanceInitMsg renders the instance_init message for one instance
+// as the instance receives it: the binary body of initBody, decoded.
 func (c *Controller) InstanceInitMsg(instanceID string, tags []uint16, compact bool) (ctlproto.InstanceInit, error) {
-	cfg, err := c.InstanceConfig(tags, compact)
+	head, section, err := c.initBody(instanceID, tags, compact)
 	if err != nil {
 		return ctlproto.InstanceInit{}, err
 	}
-	msg := ctlproto.InstanceInit{
-		InstanceID: instanceID, Compact: compact,
-		Version: c.Version(), WireKey: c.WireKey(), WireToken: c.IssueWireToken(instanceID),
+	return ctlproto.DecodeInstanceInit(append(head, section...))
+}
+
+// initBody renders the binary instance_init body for one instance in
+// two parts: a head of the per-instance fields and the profile and
+// chain section. The section is shared by every instance served the
+// same chains at one configuration version, so it is rendered once per
+// version and must not be modified.
+func (c *Controller) initBody(instanceID string, tags []uint16, compact bool) (head, section []byte, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if section, err = c.initSectionLocked(tags); err != nil {
+		return nil, nil, err
 	}
-	for _, p := range cfg.Profiles {
-		pd := ctlproto.ProfileDef{
+	head = ctlproto.AppendInitHead(nil, &ctlproto.InstanceInit{
+		InstanceID: instanceID, Compact: compact, Version: c.version,
+		WireKey: c.wireKey, WireToken: c.wireTokenLocked(instanceID),
+	})
+	return head, section, nil
+}
+
+// initSectionLocked returns the encoded profile and chain section for
+// the given chains at the current version, from the cache when it was
+// rendered before.
+func (c *Controller) initSectionLocked(tags []uint16) ([]byte, error) {
+	key := initKey(tags)
+	if c.initVersion != c.version {
+		c.initVersion, c.initCache = c.version, nil
+	}
+	if sec, ok := c.initCache[key]; ok {
+		return sec, nil
+	}
+	tags = c.tagsLocked(tags)
+	cfg, err := c.instanceConfigLocked(tags, false)
+	if err != nil {
+		return nil, err
+	}
+	profiles := make([]ctlproto.ProfileDef, len(cfg.Profiles))
+	for i, p := range cfg.Profiles {
+		pd := &profiles[i]
+		*pd = ctlproto.ProfileDef{
 			Set: p.ID, Name: p.Name, Stateful: p.Stateful,
 			ReadOnly: p.ReadOnly, StopAfter: p.StopAfter,
-			Mboxes: c.setMembers(p.ID),
+			Mboxes:   c.setMembersLocked(p.ID),
+			Patterns: make([]ctlproto.PatternDef, 0, len(p.Patterns.Patterns)+len(p.Patterns.Regexes)),
 		}
 		for _, pat := range p.Patterns.Patterns {
 			pd.Patterns = append(pd.Patterns, ctlproto.PatternDef{RuleID: pat.ID, Content: []byte(pat.Content)})
@@ -527,27 +582,36 @@ func (c *Controller) InstanceInitMsg(instanceID string, tags []uint16, compact b
 		for _, rx := range p.Patterns.Regexes {
 			pd.Patterns = append(pd.Patterns, ctlproto.PatternDef{RuleID: rx.ID, Regex: rx.Expr})
 		}
-		msg.Profiles = append(msg.Profiles, pd)
 	}
-	tagList := tags
-	if tagList == nil {
-		tagList = c.ChainTags()
+	chains := make([]ctlproto.ChainDef, len(tags))
+	for i, tag := range tags {
+		chains[i] = ctlproto.ChainDef{Tag: tag, Members: c.chains[tag]}
 	}
-	for _, tag := range tagList {
-		members, err := c.Chain(tag)
-		if err != nil {
-			return ctlproto.InstanceInit{}, err
-		}
-		msg.Chains = append(msg.Chains, ctlproto.ChainDef{Tag: tag, Members: members})
+	sec := ctlproto.AppendInitSection(nil, profiles, chains)
+	if c.initCache == nil {
+		c.initCache = make(map[string][]byte)
 	}
-	return msg, nil
+	c.initCache[key] = sec
+	return sec, nil
 }
 
-// setMembers lists the registered middlebox IDs whose set has the given
-// index, sorted for determinism.
-func (c *Controller) setMembers(setIndex int) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// initKey names a served-chain selection in the section cache: nil
+// (every chain) apart from any explicit list.
+func initKey(tags []uint16) string {
+	if tags == nil {
+		return "*"
+	}
+	b := make([]byte, 0, 1+2*len(tags))
+	b = append(b, '=')
+	for _, t := range tags {
+		b = binary.BigEndian.AppendUint16(b, t)
+	}
+	return string(b)
+}
+
+// setMembersLocked lists the registered middlebox IDs whose set has the
+// given index, sorted for determinism.
+func (c *Controller) setMembersLocked(setIndex int) []string {
 	var out []string
 	for id, rec := range c.mboxes {
 		if rec.set.index == setIndex {
@@ -559,24 +623,44 @@ func (c *Controller) setMembers(setIndex int) []string {
 }
 
 // ConfigFromInit reconstructs an engine configuration from an
-// InstanceInit message — the instance-side half of initialization.
+// InstanceInit message — the instance-side half of initialization. The
+// pattern strings share one backing string, built with one allocation.
 func ConfigFromInit(init ctlproto.InstanceInit) (core.Config, error) {
 	cfg := core.Config{Chains: make(map[uint16][]int, len(init.Chains))}
 	if init.Compact {
 		cfg.Kind = core.AutoCompact
 	}
+	var total int
+	for _, pd := range init.Profiles {
+		for _, d := range pd.Patterns {
+			if d.Regex == "" {
+				total += len(d.Content)
+			}
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(total)
+	for _, pd := range init.Profiles {
+		for _, d := range pd.Patterns {
+			if d.Regex == "" {
+				sb.Write(d.Content)
+			}
+		}
+	}
+	contents, off := sb.String(), 0
 	byMbox := make(map[string]int)
 	for _, pd := range init.Profiles {
 		p := core.Profile{
 			ID: pd.Set, Name: pd.Name, Stateful: pd.Stateful,
 			ReadOnly: pd.ReadOnly, StopAfter: pd.StopAfter,
-			Patterns: &patterns.Set{Name: pd.Name},
+			Patterns: &patterns.Set{Name: pd.Name, Patterns: make([]patterns.Pattern, 0, len(pd.Patterns))},
 		}
 		for _, d := range pd.Patterns {
 			if d.Regex != "" {
 				p.Patterns.Regexes = append(p.Patterns.Regexes, patterns.Regex{ID: d.RuleID, Expr: d.Regex})
 			} else {
-				p.Patterns.Patterns = append(p.Patterns.Patterns, patterns.Pattern{ID: d.RuleID, Content: string(d.Content)})
+				p.Patterns.Patterns = append(p.Patterns.Patterns, patterns.Pattern{ID: d.RuleID, Content: contents[off : off+len(d.Content)]})
+				off += len(d.Content)
 			}
 		}
 		cfg.Profiles = append(cfg.Profiles, p)

@@ -181,12 +181,12 @@ func (s *Server) dispatch(conn net.Conn, env *ctlproto.Envelope) error {
 		if len(hello.Chains) > 0 {
 			tags = hello.Chains
 		}
-		init, err := s.ctl.InstanceInitMsg(hello.InstanceID, tags, hello.Dedicated)
+		head, section, err := s.ctl.initBody(hello.InstanceID, tags, hello.Dedicated)
 		if err != nil {
 			return err
 		}
 		s.ctl.AddInstance(hello.InstanceID, tags, hello.Dedicated)
-		return ctlproto.WriteMsg(conn, ctlproto.TypeInstanceInit, env.Seq, init)
+		return ctlproto.WriteBinary(conn, ctlproto.TypeInstanceInit, env.Seq, head, section)
 
 	case ctlproto.TypeLease:
 		var lease ctlproto.Lease

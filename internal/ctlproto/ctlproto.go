@@ -5,8 +5,9 @@
 // policy-chain distribution, instance initialization, telemetry export
 // and flow-migration directives (Sections 4.3 and 4.3.1).
 //
-// Messages travel as length-prefixed JSON envelopes over a direct
-// (possibly secured) connection.
+// Messages travel as length-prefixed envelopes over a direct (possibly
+// secured) connection. Every envelope is JSON except instance_init's,
+// whose body is the binary encoding of initcodec.go (WriteBinary).
 package ctlproto
 
 import (
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // MsgType discriminates envelope payloads.
@@ -40,7 +42,8 @@ const (
 	TypeError          MsgType = "error"
 )
 
-// Envelope frames every message.
+// Envelope frames every message. Body is the JSON body, or a binary
+// message's raw bytes (see WriteBinary).
 type Envelope struct {
 	Type MsgType         `json:"type"`
 	Seq  uint64          `json:"seq"`
@@ -120,9 +123,9 @@ type RegisterAck struct {
 	WireKey uint64 `json:"wire_key,omitempty"`
 }
 
-// PatternDef describes one pattern in add/remove messages. Content is
-// base64 on the wire (encoding/json's []byte rule) because patterns
-// may be arbitrary binary.
+// PatternDef describes one pattern in add messages and InstanceInit.
+// Content is base64 in JSON (encoding/json's []byte rule) because
+// patterns may be arbitrary binary.
 type PatternDef struct {
 	// RuleID is the pattern's identifier within the middlebox's rule
 	// set, echoed back in match reports.
@@ -165,13 +168,13 @@ type PolicyChains struct {
 // lists the registered middlebox IDs sharing the set, so chain member
 // references resolve on the instance side.
 type ProfileDef struct {
-	Set       int          `json:"set"`
-	Mboxes    []string     `json:"mboxes,omitempty"`
-	Name      string       `json:"name"`
-	Stateful  bool         `json:"stateful,omitempty"`
-	ReadOnly  bool         `json:"read_only,omitempty"`
-	StopAfter int          `json:"stop_after,omitempty"`
-	Patterns  []PatternDef `json:"patterns"`
+	Set       int
+	Mboxes    []string
+	Name      string
+	Stateful  bool
+	ReadOnly  bool
+	StopAfter int
+	Patterns  []PatternDef
 }
 
 // InstanceHello is sent by a starting DPI service instance to request
@@ -186,22 +189,23 @@ type InstanceHello struct {
 
 // InstanceInit initializes a DPI service instance with the pattern sets
 // and chain mapping it must serve (Section 5.1). Compact selects the
-// low-memory automaton used for MCA² dedicated instances.
+// low-memory automaton used for MCA² dedicated instances. It travels in
+// the binary encoding of AppendInstanceInit, not as JSON.
 type InstanceInit struct {
-	InstanceID string       `json:"instance_id"`
-	Profiles   []ProfileDef `json:"profiles"`
-	Chains     []ChainDef   `json:"chains"`
-	Compact    bool         `json:"compact,omitempty"`
+	InstanceID string
+	Profiles   []ProfileDef
+	Chains     []ChainDef
+	Compact    bool
 	// Version is the controller's configuration version the message
 	// was derived from; an instance re-requesting its configuration
 	// can skip rebuilding when it is unchanged.
-	Version uint64 `json:"version"`
+	Version uint64
 	// WireKey is the cluster key the instance's wire-transport server
 	// uses to validate session tokens on incoming data frames.
-	WireKey uint64 `json:"wire_key,omitempty"`
+	WireKey uint64
 	// WireToken is the instance's own session token, presented when it
 	// dials middlebox verdict consumers over the wire transport.
-	WireToken uint64 `json:"wire_token,omitempty"`
+	WireToken uint64
 }
 
 // FlowKey identifies one flow in telemetry and migration messages.
@@ -324,7 +328,58 @@ func WriteMsg(w io.Writer, typ MsgType, seq uint64, body any) error {
 	return nil
 }
 
-// ReadMsg reads one framed envelope.
+// binaryMark opens a framed message whose body is binary. A JSON
+// envelope starts with '{', so the first byte tells the two apart. The
+// binary envelope is the mark, the type (one length byte and the
+// name), the seq (uint64 big-endian) and the body.
+const binaryMark = 0
+
+// WriteBinary frames and writes a message whose body is raw bytes, the
+// concatenation of parts. The parts go out as they are, in one writev
+// on a socket: a body of a cached part and a fresh one is never copied
+// into one buffer.
+func WriteBinary(w io.Writer, typ MsgType, seq uint64, parts ...[]byte) error {
+	if len(typ) > 255 {
+		return fmt.Errorf("ctlproto: message type %q too long", typ)
+	}
+	env := 2 + len(typ) + 8
+	for _, p := range parts {
+		env += len(p)
+	}
+	if env > MaxMessageLen {
+		return ErrMessageTooLarge
+	}
+	hdr := make([]byte, 0, 4+2+len(typ)+8)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(env))
+	hdr = append(hdr, binaryMark, byte(len(typ)))
+	hdr = append(hdr, typ...)
+	hdr = binary.BigEndian.AppendUint64(hdr, seq)
+	bufs := append(net.Buffers{hdr}, parts...)
+	if _, err := bufs.WriteTo(w); err != nil {
+		return err
+	}
+	if m := wireMet.Load(); m != nil {
+		m.msgsWritten.Inc()
+		m.bytesWritten.Add(uint64(4 + env))
+		m.countMsg(typ)
+	}
+	return nil
+}
+
+// parseBinary splits a binary envelope; Body aliases buf.
+func parseBinary(buf []byte) (*Envelope, error) {
+	if len(buf) < 2 || len(buf) < 2+int(buf[1])+8 {
+		return nil, ErrBadEnvelope
+	}
+	n := int(buf[1])
+	return &Envelope{
+		Type: MsgType(buf[2 : 2+n]),
+		Seq:  binary.BigEndian.Uint64(buf[2+n:]),
+		Body: buf[2+n+8:],
+	}, nil
+}
+
+// ReadMsg reads one framed envelope, JSON or binary.
 func ReadMsg(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -338,9 +393,17 @@ func ReadMsg(r io.Reader) (*Envelope, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	var env Envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+	var env *Envelope
+	if len(buf) > 0 && buf[0] == binaryMark {
+		var err error
+		if env, err = parseBinary(buf); err != nil {
+			return nil, err
+		}
+	} else {
+		env = new(Envelope)
+		if err := json.Unmarshal(buf, env); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+		}
 	}
 	if env.Type == "" {
 		return nil, ErrBadEnvelope
@@ -350,7 +413,7 @@ func ReadMsg(r io.Reader) (*Envelope, error) {
 		m.bytesRead.Add(uint64(len(hdr)) + uint64(n))
 		m.countMsg(env.Type)
 	}
-	return &env, nil
+	return env, nil
 }
 
 // Decode unmarshals the envelope body into dst.

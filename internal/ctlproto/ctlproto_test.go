@@ -121,13 +121,12 @@ func TestOverNetPipe(t *testing.T) {
 	defer c2.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- WriteMsg(c1, TypeInstanceInit, 3, InstanceInit{
-			InstanceID: "dpi-1",
-			Profiles: []ProfileDef{{
-				Set: 0, Mboxes: []string{"ids-1"}, Patterns: []PatternDef{{RuleID: 0, Content: []byte("sig")}},
-			}},
-			Chains: []ChainDef{{Tag: 1, Members: []string{"ids-1"}}},
-		})
+		msg := InstanceInit{InstanceID: "dpi-1"}
+		head := AppendInitHead(nil, &msg)
+		section := AppendInitSection(nil, []ProfileDef{{
+			Set: 0, Mboxes: []string{"ids-1"}, Patterns: []PatternDef{{RuleID: 0, Content: []byte("sig")}},
+		}}, []ChainDef{{Tag: 1, Members: []string{"ids-1"}}})
+		done <- WriteBinary(c1, TypeInstanceInit, 3, head, section)
 	}()
 	env, err := ReadMsg(c2)
 	if err != nil {
@@ -136,11 +135,15 @@ func TestOverNetPipe(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	var init InstanceInit
-	if err := env.Decode(&init); err != nil {
+	if env.Type != TypeInstanceInit || env.Seq != 3 {
+		t.Errorf("envelope %s seq %d", env.Type, env.Seq)
+	}
+	init, err := DecodeInstanceInit(env.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if init.InstanceID != "dpi-1" || len(init.Profiles) != 1 || init.Chains[0].Tag != 1 {
+	if init.InstanceID != "dpi-1" || len(init.Profiles) != 1 || init.Chains[0].Tag != 1 ||
+		string(init.Profiles[0].Patterns[0].Content) != "sig" {
 		t.Errorf("init = %+v", init)
 	}
 }

@@ -30,7 +30,10 @@ type Scanner struct {
 	// of collected packets, so a hot swap applies at run boundaries.
 	Engine func() *core.Engine
 	// Verdicts, when non-nil, is sent every non-empty report (the
-	// middlebox verdict consumer).
+	// middlebox verdict consumer). The verdicts of a run are pushed
+	// (wire.Conn.Push) when it has been answered: they leave at once
+	// when the conn is idle, and with the consumer's next ack when
+	// earlier verdicts are in flight, never on the conn's tick.
 	Verdicts *wire.Conn
 	// Tracer receives the decode/reassembly/scan/encode spans of frames
 	// the sender marked FlagTrace; nil records nothing.
@@ -48,6 +51,9 @@ type Scanner struct {
 	// matched path reuses it instead of allocating.
 	reps []packet.Report
 	enc  []byte // report encode buffer, reused across packets
+	// staged is set when a verdict was queued on Verdicts since the
+	// last push.
+	staged bool
 }
 
 // origin is where one collected packet's result goes.
@@ -110,6 +116,15 @@ func (p *Scanner) drain() {
 		*it, p.from[i] = core.BatchItem{}, origin{}
 	}
 	p.items, p.from = p.items[:0], p.from[:0]
+	p.pushVerdicts()
+}
+
+// pushVerdicts pushes the verdicts staged since the last push.
+func (p *Scanner) pushVerdicts() {
+	if p.staged {
+		p.staged = false
+		p.Verdicts.Push()
+	}
 }
 
 // traced scans one FlagTrace packet by itself, recording its spans: the
@@ -135,6 +150,7 @@ func (p *Scanner) traced(s *wire.Session, seq uint32, tag uint16, tuple packet.F
 	encStart := time.Now().UnixNano()
 	p.answer(s, seq, tag, tuple, rep, traceID, pktIdx)
 	p.Tracer.Record(traceID, pktIdx, trace.StageEncode, encStart, time.Now().UnixNano()-encStart)
+	p.pushVerdicts()
 }
 
 // answer replies to one scanned packet and reports what failed.
@@ -163,6 +179,7 @@ func (p *Scanner) reply(s *wire.Session, seq uint32, tag uint16, tuple packet.Fi
 	if len(p.enc) == 0 || p.Verdicts == nil {
 		return resErr, nil
 	}
+	p.staged = true
 	if traceID != 0 {
 		return resErr, p.Verdicts.SendVerdictTraced(tag, tuple, traceID, pktIdx, p.enc)
 	}

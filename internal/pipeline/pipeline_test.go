@@ -648,3 +648,64 @@ func TestMatchedRunAllocFree(t *testing.T) {
 		t.Fatalf("%d reports for %d packets: not every packet matched", got, 121*run)
 	}
 }
+
+// TestVerdictsLeaveWithTheirRun: a matched packet's verdict reaches the
+// middlebox consumer as soon as its run is answered — not when the
+// verdict conn next ticks (every RTOBase/4, 2.5 s here) or when the
+// consumer acks something.
+func TestVerdictsLeaveWithTheirRun(t *testing.T) {
+	ms, err := wire.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := make(chan time.Time, 1)
+	mbox := wire.NewServer(ms, testKey, quietCfg, nil)
+	mbox.OnVerdict(func(*wire.Session, uint16, packet.FiveTuple, []byte) {
+		select {
+		case arrived <- time.Now():
+		default:
+		}
+	})
+	mbox.Start()
+	t.Cleanup(func() { mbox.Close() })
+	vt, err := wire.DialUDP(ms.LocalAddr().AP.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := wire.Config{RTOBase: 10 * time.Second, JitterSeed: 7}
+	verdicts := wire.NewConn(vt, wire.IssueToken(testKey, 2), "dpi-1", slow, nil)
+	if err := verdicts.Start(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { verdicts.Close() })
+
+	is, err := wire.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := testEngine(t)
+	serve(t, is, quietCfg, &Scanner{Engine: func() *core.Engine { return eng }, Verdicts: verdicts})
+	ct, err := wire.DialUDP(is.LocalAddr().AP.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(ct, wire.IssueToken(testKey, 1), "tg", quietCfg, nil)
+	if err := conn.Start(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+
+	sent := time.Now()
+	if _, err := conn.SendData(statelessTag, flow(0), []byte("an evil payload")); err != nil {
+		t.Fatal(err)
+	}
+	conn.Flush()
+	select {
+	case at := <-arrived:
+		if d := at.Sub(sent); d > time.Second {
+			t.Errorf("verdict arrived after %v, want well under the verdict conn's %v tick", d, slow.RTOBase/4)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("no verdict within 2 s; the verdict conn ticks every %v", slow.RTOBase/4)
+	}
+}

@@ -170,6 +170,9 @@ type Conn struct {
 	err     error
 	ackBuf  []byte
 	scratch []byte // frame payload assembly (data subheader + app bytes)
+	// sent is the endpoint's next seq when the stager last wrote: the
+	// reliable frames below it have gone out (Push).
+	sent uint32
 }
 
 // NewConn wraps an already-dialed transport as a client session
@@ -214,6 +217,7 @@ func (c *Conn) now() int64 { return int64(time.Since(c.clockBase)) }
 // writeOut is the stager's sink. A datagram refused for its size
 // shrinks the budget; any other transport error poisons the conn.
 func (c *Conn) writeOut(dgs []Datagram) {
+	c.sent = c.ep.sendSeq
 	_, err := c.tr.WriteBatch(dgs)
 	switch {
 	case err == nil:
@@ -461,6 +465,21 @@ func (c *Conn) sendReliable(t Type, flags uint8, tag uint16, tuple packet.FiveTu
 func (c *Conn) Flush() {
 	c.mu.Lock()
 	c.st.flush()
+	c.mu.Unlock()
+}
+
+// Push sends the staged frames now unless frames already sent are
+// still unacked. Their ack is then on its way, and the receive loop
+// flushes after every batch it reads, so what Push leaves staged goes
+// out when the ack arrives, within a round trip. A conn with nothing
+// in flight thus sends at once, and a busy one writes once per round
+// trip instead of once per Push; without either, staged frames wait for
+// the tick (RTOBase/4).
+func (c *Conn) Push() {
+	c.mu.Lock()
+	if int32(c.ep.sendBase-c.sent) >= 0 {
+		c.st.flush()
+	}
 	c.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -494,5 +495,77 @@ func TestUDPBatchIOAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("WriteBatch + ReadBatch allocated %v allocs, want 0", allocs)
+	}
+}
+
+// countingTransport counts a transport's WriteBatch calls.
+type countingTransport struct {
+	Transport
+	writes atomic.Int64
+}
+
+func (c *countingTransport) WriteBatch(dgs []Datagram) (int, error) {
+	c.writes.Add(1)
+	return c.Transport.WriteBatch(dgs)
+}
+
+// TestPushWaitsForTheAckInFlight: Push writes at once on an idle conn;
+// with a frame in flight it leaves the staged ones for the ack, whose
+// arrival sends them — a round trip later, not at the tick.
+func TestPushWaitsForTheAckInFlight(t *testing.T) {
+	nw := netsim.NewNetwork()
+	ct, st := NewNetsimTransport("client"), NewNetsimTransport("server")
+	for _, n := range []*NetsimTransport{ct, st} {
+		if err := nw.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const oneWay = 100 * time.Millisecond
+	if err := nw.Connect(ct, st, netsim.LinkOpts{Latency: oneWay}); err != nil {
+		t.Fatal(err)
+	}
+	arrived := make(chan time.Time, 2)
+	srv := NewServer(st, testKey, testCfg, nil)
+	srv.OnVerdict(func(*Session, uint16, packet.FiveTuple, []byte) { arrived <- time.Now() })
+	srv.Start()
+	cnt := &countingTransport{Transport: ct}
+	slow := Config{RTOBase: 20 * time.Second, JitterSeed: 7} // tick every 5 s
+	c := NewConn(cnt, IssueToken(testKey, 1), "dpi-1", slow, nil)
+	t.Cleanup(func() {
+		c.Close()
+		srv.Close()
+		nw.Stop()
+	})
+	if err := c.Start(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	before := cnt.writes.Load()
+	if err := c.SendVerdict(1, testTuple, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	c.Push()
+	if got := cnt.writes.Load() - before; got != 1 {
+		t.Fatalf("idle conn: Push made %d writes, want 1", got)
+	}
+	if err := c.SendVerdict(1, testTuple, []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	c.Push()
+	if got := cnt.writes.Load() - before; got != 1 {
+		t.Fatalf("first verdict in flight: Push made %d more writes, want none", got-1)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case at := <-arrived:
+			// The second leaves with the first one's ack: one round trip
+			// after the first, which itself takes one way.
+			if d := at.Sub(start); d > 3*oneWay+time.Second {
+				t.Fatalf("verdict %d arrived after %v", i+1, d)
+			}
+		case <-time.After(4 * time.Second):
+			t.Fatalf("verdict %d not delivered before the 5 s tick", i+1)
+		}
 	}
 }

@@ -75,7 +75,7 @@ type Stats struct {
 }
 
 type sendSlot struct {
-	buf     []byte // frame payload; cap MaxFramePayload, set at setup
+	buf     []byte // frame payload (slotBuf)
 	seq     uint32
 	typ     Type
 	flags   uint8 // header flags, re-emitted on every retransmission
@@ -130,11 +130,13 @@ type Endpoint struct {
 }
 
 // NewEndpoint builds a session endpoint stamping token on every frame.
-// All buffers are allocated here; the per-frame paths are allocation
-// free. met may be nil.
+// met may be nil. A window slot gets its frame buffer on first use
+// (slotBuf), so a session costs what its frames need, not Window ×
+// MaxFramePayload up front; once every slot has held the session's
+// largest frame the per-frame paths are allocation free.
 func NewEndpoint(token uint64, cfg Config, met *Metrics) *Endpoint {
 	cfg.defaults()
-	//dpi:coldalloc(endpoint setup: window buffers preallocated once per session)
+	//dpi:coldalloc(endpoint setup: once per session)
 	e := &Endpoint{
 		cfg:      cfg,
 		token:    token,
@@ -144,19 +146,37 @@ func NewEndpoint(token uint64, cfg Config, met *Metrics) *Endpoint {
 		rng:      cfg.JitterSeed,
 		met:      met,
 	}
-	//dpi:coldalloc(endpoint setup: window buffers preallocated once per session)
+	//dpi:coldalloc(endpoint setup: once per session)
 	e.send = make([]sendSlot, cfg.Window)
-	//dpi:coldalloc(endpoint setup: window buffers preallocated once per session)
+	//dpi:coldalloc(endpoint setup: once per session)
 	e.recv = make([]recvSlot, cfg.Window)
-	for i := range e.send {
-		//dpi:coldalloc(endpoint setup: window buffers preallocated once per session)
-		e.send[i].buf = make([]byte, 0, MaxFramePayload)
-	}
-	for i := range e.recv {
-		//dpi:coldalloc(endpoint setup: window buffers preallocated once per session)
-		e.recv[i].buf = make([]byte, 0, MaxFramePayload)
-	}
 	return e
+}
+
+// slotMin is the smallest buffer a window slot gets: a frame of a
+// full Ethernet MTU fits, so on the frames this system sends a slot is
+// allocated once and never regrown.
+const slotMin = 2 << 10
+
+// slotBuf returns a slot's buffer emptied, with room for n bytes. It
+// allocates on a slot's first frame, and again only for a frame larger
+// than any the slot has held.
+//
+//dpi:hotpath
+func slotBuf(buf []byte, n int) []byte {
+	if cap(buf) >= n {
+		return buf[:0]
+	}
+	return newSlotBuf(n)
+}
+
+// newSlotBuf is slotBuf's allocation, kept out of line so that it stays
+// in one place rather than in every caller slotBuf is inlined into.
+//
+//go:noinline
+func newSlotBuf(n int) []byte {
+	//dpi:coldalloc(a window slot's first frame, or one larger than any it held)
+	return make([]byte, 0, max(n, slotMin))
 }
 
 // OnRepeatLoss registers fn, which Tick calls before it re-emits a frame
@@ -234,7 +254,7 @@ func (e *Endpoint) SendEx(t Type, flags uint8, payload []byte, now int64, emit E
 	seq := e.sendSeq
 	e.sendSeq++
 	s := &e.send[int(seq)%e.cfg.Window]
-	s.buf = append(s.buf[:0], payload...)
+	s.buf = append(slotBuf(s.buf, len(payload)), payload...)
 	s.seq = seq
 	s.typ = t
 	s.flags = flags
@@ -358,7 +378,7 @@ func (e *Endpoint) HandleFrame(h Header, payload []byte, now int64, deliver Deli
 		e.ackNeeded = true
 		return
 	}
-	s.buf = append(s.buf[:0], payload...)
+	s.buf = append(slotBuf(s.buf, len(payload)), payload...)
 	s.seq = h.Seq
 	s.typ = h.Type
 	s.flags = h.Flags
