@@ -21,6 +21,7 @@ import (
 	"dpiservice/internal/mpm"
 	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
+	"dpiservice/internal/regexengine"
 	"dpiservice/internal/traffic"
 )
 
@@ -673,21 +674,25 @@ func BenchmarkFlowTable(b *testing.B) {
 	}
 }
 
-// BenchmarkInstanceInit is the hello RPC an instance waits for before it
-// can compile (Sections 4.1, 5.1): the controller renders and encodes
-// the multi-tenant configuration, the instance reads and decodes it and
-// rebuilds the engine configuration (ConfigFromInit), over loopback TCP
-// to an in-process controller. warm repeats the hello at one
-// configuration version; cold changes the configuration before each
-// hello, as a pattern update does.
-func BenchmarkInstanceInit(b *testing.B) {
-	ctl := controller.New()
+// multiTenantRules is the firewall of the benchmark module's
+// multi-tenant workload: 32 anchored URL regexes.
+func multiTenantRules() []ctlproto.PatternDef {
 	var fw []ctlproto.PatternDef
 	for _, p := range []string{"/admin/", "/cgi-bin/", "/scripts/", "/wp-content/", "/phpmyadmin/", "/manager/", "/console/", "/backup/"} {
 		for _, q := range []string{"cmd", "exec", "file", "path"} {
 			fw = append(fw, ctlproto.PatternDef{RuleID: len(fw), Regex: p + `[a-z0-9]{2,12}\.(php|asp|cgi)\?` + q + `=[a-z/.]{1,24}`})
 		}
 	}
+	return fw
+}
+
+// multiTenantController is an in-process controller holding the
+// benchmark module's multi-tenant configuration: two stateful IDSs and
+// an antivirus on the literal sets, the firewall on multiTenantRules,
+// and two chains, {ids-1, av-1} and {ids-2, fw-1}.
+func multiTenantController(b *testing.B) *controller.Controller {
+	b.Helper()
+	ctl := controller.New()
 	literal := func(s *patterns.Set) []ctlproto.PatternDef {
 		defs := make([]ctlproto.PatternDef, len(s.Patterns))
 		for i, p := range s.Patterns {
@@ -703,7 +708,7 @@ func BenchmarkInstanceInit(b *testing.B) {
 		{"ids-1", true, literal(patterns.SnortLike(2000, 1))},
 		{"av-1", false, literal(patterns.ClamAVLike(2000, 3))},
 		{"ids-2", true, literal(patterns.SnortLike(2000, 2))},
-		{"fw-1", false, fw},
+		{"fw-1", false, multiTenantRules()},
 	} {
 		if _, err := ctl.Register(ctlproto.Register{MboxID: m.id, Name: m.id, Type: m.id, Stateful: m.stateful}); err != nil {
 			b.Fatal(err)
@@ -717,6 +722,69 @@ func BenchmarkInstanceInit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return ctl
+}
+
+// BenchmarkNewEngine is the compile an instance runs between its
+// configuration and its first verdict (Section 5.1), on the
+// multi-tenant configuration as the instance receives it
+// (InstanceInitMsg, ConfigFromInit). engine is the whole of
+// core.NewEngine; the others are its parts: regex compiles the
+// firewall's 32 expressions, flow-table is an engine of one pattern
+// (the flow table and registry every engine allocates), and the merged
+// literal automaton is BenchmarkBuildFull/multi-tenant, split into the
+// trie and the rows by internal/mpm's BenchmarkBuildPhases.
+func BenchmarkNewEngine(b *testing.B) {
+	init, err := multiTenantController(b).InstanceInitMsg("dpi-1", nil, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := controller.ConfigFromInit(init)
+	if err != nil {
+		b.Fatal(err)
+	}
+	one := core.Config{
+		Profiles: []core.Profile{{ID: 0, Name: "one", Patterns: &patterns.Set{Patterns: []patterns.Pattern{{ID: 0, Content: "one"}}}}},
+		Chains:   map[uint16][]int{1: {0}},
+	}
+	rules := multiTenantRules()
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"engine", func() error { _, err := core.NewEngine(cfg); return err }},
+		{"regex", func() error {
+			rx := regexengine.New(0)
+			for _, r := range rules {
+				if _, err := rx.Add(r.RuleID, r.Regex); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"flow-table", func() error { _, err := core.NewEngine(one); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInstanceInit is the hello RPC an instance waits for before it
+// can compile (Sections 4.1, 5.1): the controller renders and encodes
+// the multi-tenant configuration, the instance reads and decodes it and
+// rebuilds the engine configuration (ConfigFromInit), over loopback TCP
+// to an in-process controller. warm repeats the hello at one
+// configuration version; cold changes the configuration before each
+// hello, as a pattern update does.
+func BenchmarkInstanceInit(b *testing.B) {
+	ctl := multiTenantController(b)
+	fw := multiTenantRules()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

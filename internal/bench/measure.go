@@ -116,11 +116,16 @@ func MeasureAutomaton(name string, a mpm.Automaton, corpus [][]byte, repeat int)
 }
 
 // ScanRun is how many packets one InspectBatch call of MeasureEngine
-// scans per worker: the frames one receive batch hands the deployed
-// instance's pipeline.Scanner, measured by the benchmark module as
-// wire.frames_per_batch_in (13.2 on multi-tenant, 13.4 on attack-dense;
-// benchmark/README.md). wire.HoldFrames (64) is the bound the Scanner
-// never exceeds.
+// scans per worker. It was set to the frames one receive batch handed
+// the deployed instance's pipeline.Scanner when the benchmark module
+// measured wire.frames_per_batch_in at 13.2 on multi-tenant and 13.4 on
+// attack-dense (benchmark/README.md). The deployed runs are longer now:
+// the instance's core.batch_group_size, the packets per InspectBatch
+// run, averaged 37.8 on multi-tenant, 39.6 on attack-dense, 32.6 on
+// http-mtu and 30.9 on small-pkt (one 10 s run each, seed 7, 2-CPU VM).
+// The value stays until the paper's figures are re-based on the
+// deployed run length, which moves every one of them; wire.HoldFrames
+// (64) is the bound the Scanner never exceeds.
 const ScanRun = 13
 
 // MeasureEngine pushes the corpus `repeat` times through a DPI service

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -172,13 +171,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	b := mpm.NewBuilder()
 	bFold := mpm.NewBuilder()
+	var literal, folded int
+	for _, p := range cfg.Profiles {
+		for _, pat := range p.Patterns.Patterns {
+			if pat.NoCase {
+				folded++
+			} else {
+				literal++
+			}
+		}
+	}
+	b.Grow(literal)
+	bFold.Grow(folded)
 	for _, p := range cfg.Profiles {
 		cp := &compiledProfile{Profile: p, bit: 1 << uint(p.ID), rxIndex: -1}
 		for _, pat := range p.Patterns.Patterns {
 			if pat.NoCase {
 				// Case-insensitive patterns live in the fold automaton
 				// and are matched against a lowercased payload view.
-				if err := bFold.Add(p.ID, pat.ID, strings.ToLower(pat.Content)); err != nil {
+				// Both sides fold ASCII only, as Snort's nocase does:
+				// any other byte must match exactly.
+				if err := bFold.Add(p.ID, pat.ID, string(appendLowerASCII(nil, []byte(pat.Content)))); err != nil {
 					return nil, fmt.Errorf("core: middlebox %d nocase pattern %d: %w", p.ID, pat.ID, err)
 				}
 				e.foldMask |= 1 << uint(p.ID)

@@ -486,6 +486,47 @@ func TestNoCaseStatefulAcrossPackets(t *testing.T) {
 	}
 }
 
+// TestNoCaseNonASCII: nocase folds ASCII letters only, on the pattern
+// as on the payload, so a byte outside ASCII — invalid UTF-8 or part of
+// a multi-byte letter — must match exactly, whatever the case of the
+// ASCII letters around it.
+func TestNoCaseNonASCII(t *testing.T) {
+	set := &patterns.Set{Name: "nc", Patterns: []patterns.Pattern{
+		{ID: 0, Content: "\xffSMB", NoCase: true},
+		{ID: 1, Content: "Āx", NoCase: true},
+	}}
+	e, err := NewEngine(Config{
+		Profiles: []Profile{{ID: 0, Patterns: set}},
+		Chains:   map[uint16][]int{1: {0}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		payload string
+		want    []rec
+	}{
+		{"\xffSMB", []rec{{0, 0, 4, 1}}},
+		{"\xffsmb", []rec{{0, 0, 4, 1}}},
+		{"..\xffSmB", []rec{{0, 0, 6, 1}}},
+		{"\xfeSMB", nil},
+		{"SMB", nil},
+		{"Āx", []rec{{0, 1, 3, 1}}},
+		{"ĀX", []rec{{0, 1, 3, 1}}},
+		{"āx", nil}, // not an ASCII letter: no folding
+	} {
+		tpl := testTuple
+		tpl.SrcPort++
+		rep, err := e.Inspect(1, tpl, []byte(tc.payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := flatten(rep); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("payload %q: report = %v, want %v", tc.payload, got, tc.want)
+		}
+	}
+}
+
 func TestRegexAnchorConfirmation(t *testing.T) {
 	set := patterns.FromStrings("rx", []string{"plainpattern"})
 	set.Regexes = []patterns.Regex{{ID: 0, Expr: `regular\s*expression\s*\d+`}}

@@ -50,8 +50,8 @@ func (b *Builder) BuildCompact() (*ACCompact, error) {
 	for newID := int32(0); newID < int32(n); newID++ {
 		a.edgeStart[newID] = int32(len(a.edgeLabels))
 		old := newToOld[newID]
-		a.fail[newID] = oldToNew[t.fail[old]]
-		for c := t.kids[old]; c < t.kids[old+1]; c++ {
+		a.fail[newID] = oldToNew[t.nodes[old].fail]
+		for c := t.nodes[old].kids; c < t.nodes[old+1].kids; c++ {
 			a.edgeLabels = append(a.edgeLabels, t.label[c])
 			a.edgeTargets = append(a.edgeTargets, oldToNew[c])
 		}

@@ -1,5 +1,7 @@
 package mpm
 
+import "slices"
+
 // ACFull is the full-table Aho-Corasick DFA with the paper's merged-set
 // extensions (Section 5.1): a state's transitions are one table load
 // and one compare per input byte; each accepting state carries a bitmap
@@ -35,22 +37,11 @@ type ACFull struct {
 	hot          int32    // H: states [0, H) have rows
 	numAccepting int32    // A: the hot accepting states, [0, A)
 	match        matchTable
-	cold         []coldState // N−H+1 records: cold state s is cold[s−H]; the last only closes the one before
-	coldLabel    []byte      // coldLabel[c−H]: the byte on the goto edge into cold state c
+	cold         []node // N−H+1 records: cold state s is cold[s−H]; the last only closes the one before
+	coldLabel    []byte // coldLabel[c−H]: the byte on the goto edge into cold state c
 	numStates    int
 	numPatterns  int
 	startState   State
-}
-
-// coldState is a cold state's record, the trie's own: its children are
-// the states from kids to the next record's kids (consecutive, labels
-// ascending), its refs are the match table's refs from out to the next
-// record's out, and fail is its failure link, a hot or a cold state.
-// The fields share a record so that a step reads one cache line for
-// them.
-type coldState struct {
-	kids, fail int32
-	out        uint32
 }
 
 // denseBudget bounds the hot rows: H is the number of rows of
@@ -72,17 +63,50 @@ func (b *Builder) BuildFull() (*ACFull, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileFull(t, len(b.patterns), t.numStates()), nil
+	return layoutFull(t, len(b.patterns), t.numStates(), true), nil
 }
 
 // compileFull lays the trie out with rows for at most maxHot states,
-// fewer where denseBudget or maxEscapes call for it. BuildFull
-// passes the state count; tests pass less to force cold states.
+// fewer where denseBudget or maxEscapes call for it, and leaves the
+// trie as it was: tests lay one trie out at several hot counts.
 func compileFull(t *trie, numPatterns, maxHot int) *ACFull {
-	a := &ACFull{numStates: t.numStates(), numPatterns: numPatterns}
-	// Class 0 is every byte no pattern contains; the bytes that label an
-	// edge take the classes after it in ascending order. When all 256 do,
-	// there is no class 0 to keep and they are numbered from it.
+	return layoutFull(t, numPatterns, maxHot, false)
+}
+
+// layoutFull is compileFull. With own set, the automaton takes the
+// trie over, so its cold states' nodes are renumbered in place rather
+// than in a copy.
+func layoutFull(t *trie, numPatterns, maxHot int, own bool) *ACFull {
+	a := &ACFull{numStates: t.numStates(), numPatterns: numPatterns, classOf: t.classOf, stride: t.stride}
+	hot := t.hotStates(maxHot)
+	oldToNew, newToOld, numAccepting := t.renumber(int32(hot))
+	a.hot, a.numAccepting, a.startState = int32(hot), numAccepting, oldToNew[0]
+	a.match = t.matchTable(newToOld, numAccepting)
+	a.next = fillRows(t, oldToNew, &a.classOf, a.stride, hot)
+	if hot < a.numStates {
+		// The cold states keep the trie's nodes and labels. A failure
+		// link to a hot state names its new id, which differs from its
+		// breadth-first id only when some hot state accepts.
+		a.cold, a.coldLabel = t.nodes[hot:], t.label[hot:]
+		if numAccepting > 0 {
+			if !own {
+				a.cold = slices.Clone(a.cold)
+			}
+			for i := range a.cold[:len(a.cold)-1] {
+				if f := a.cold[i].fail; f < a.hot {
+					a.cold[i].fail = oldToNew[f]
+				}
+			}
+		}
+	}
+	return a
+}
+
+// byteClasses numbers the byte classes of a row. Class 0 is every byte
+// no pattern contains; the bytes that label an edge take the classes
+// after it in ascending order. When all 256 do, there is no class 0 to
+// keep and they are numbered from it. stride is the number of classes.
+func (t *trie) byteClasses() {
 	var used [256]bool
 	alphabet := 0
 	for _, c := range t.label[1:] {
@@ -92,35 +116,25 @@ func compileFull(t *trie, numPatterns, maxHot int) *ACFull {
 		}
 	}
 	if alphabet < 256 {
-		a.stride = 1
+		t.stride = 1
 	}
 	for c, u := range used {
 		if u {
-			a.classOf[c] = uint8(a.stride)
-			a.stride++
+			t.classOf[c] = uint8(t.stride)
+			t.stride++
 		}
 	}
-	hot := min(a.numStates, maxHot, denseBudget/(2*a.stride), maxEscapes)
-	// The cold states a row names are the frontier [hot, kids[hot]).
-	for int(t.kids[hot])-hot > maxEscapes {
+}
+
+// hotStates is H: at most maxHot, the rows denseBudget holds and
+// maxEscapes, and lowered until the cold states a row names, the
+// frontier [H, kids[H]), number at most maxEscapes.
+func (t *trie) hotStates(maxHot int) int {
+	hot := min(t.numStates(), maxHot, denseBudget/(2*t.stride), maxEscapes)
+	for int(t.nodes[hot].kids)-hot > maxEscapes {
 		hot--
 	}
-	oldToNew, newToOld, numAccepting := t.renumber(int32(hot))
-	a.hot, a.numAccepting, a.startState = int32(hot), numAccepting, oldToNew[0]
-	a.match = t.matchTable(newToOld, numAccepting)
-	a.next = fillRows(t, oldToNew, &a.classOf, a.stride, hot)
-	if hot < a.numStates {
-		a.cold = make([]coldState, a.numStates-hot+1)
-		for i := range a.cold {
-			s := hot + i
-			a.cold[i] = coldState{kids: t.kids[s], out: t.outOff[s]}
-			if s < a.numStates {
-				a.cold[i].fail = oldToNew[t.fail[s]]
-			}
-		}
-		a.coldLabel = append([]byte(nil), t.label[hot:]...)
-	}
-	return a
+	return hot
 }
 
 // fillRows builds the hot states' rows in breadth-first order: a
@@ -145,12 +159,12 @@ func fillRows(t *trie, oldToNew []int32, classOf *[256]uint8, stride, hot int) [
 	for s := range int32(hot) {
 		row := rowOf(s)
 		if s != 0 {
-			copy(row, rowOf(t.fail[s]))
+			copy(row, rowOf(t.nodes[s].fail))
 		}
-		for c := t.kids[s]; c < t.kids[s+1]; c++ {
-			e := oldToNew[c]
-			if int(c) >= hot {
-				e = int32(hot) - 1 - c // the cold state c, breadth-first id and new id alike
+		for c := t.nodes[s].kids; c < t.nodes[s+1].kids; c++ {
+			e := int32(hot) - 1 - c // the cold state c, breadth-first id and new id alike
+			if int(c) < hot {
+				e = oldToNew[c]
 			}
 			row[classOf[t.label[c]]] = uint16(e)
 		}
@@ -347,5 +361,5 @@ func (a *ACFull) MemoryBytes() int64 {
 		int64(len(a.cold))*coldStateBytes + int64(len(a.coldLabel))
 }
 
-// coldStateBytes is the in-memory size of a coldState.
+// coldStateBytes is the in-memory size of a cold state's node.
 const coldStateBytes = 12

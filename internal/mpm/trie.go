@@ -1,9 +1,6 @@
 package mpm
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
 // Builder accumulates the pattern sets of registered middleboxes and
 // constructs merged automata over their union, as the DPI controller does
@@ -48,6 +45,10 @@ func (b *Builder) Add(set, id int, pattern string) error {
 	return nil
 }
 
+// Grow makes room for n more patterns, so that adding them does not
+// reallocate.
+func (b *Builder) Grow(n int) { b.patterns = slices.Grow(b.patterns, n) }
+
 // AddSet registers all patterns of one set with sequential IDs.
 func (b *Builder) AddSet(set int, patterns []string) error {
 	for i, p := range patterns {
@@ -71,152 +72,351 @@ func (b *Builder) NumPatterns() int { return len(b.patterns) }
 // pattern strings alone: snapshots and golden tests can compare automata
 // built independently from the same pattern list. In that order the
 // children of every state are consecutive, so the goto edges need no
-// table of their own: state s's children are the states kids[s] ≤ c <
-// kids[s+1], the edge into c is labelled label[c], and the labels ascend.
+// table of their own: state s's children are the states from
+// nodes[s].kids up to nodes[s+1].kids, the edge into c is labelled
+// label[c], and the labels ascend.
 type trie struct {
-	label  []byte   // label[c]: the byte on the goto edge into state c
-	kids   []int32  // len numStates+1; children of s are [kids[s], kids[s+1])
-	fail   []int32  // failure link; the root's is itself
-	outOff []uint32 // len numStates+1; s's refs are refs[outOff[s]:outOff[s+1]]
-	refs   []PatternRef
+	label []byte // label[c]: the byte on the goto edge into state c
+	nodes []node // len numStates+1; the last only closes the one before
+	refs  []PatternRef
+
+	classOf [256]uint8 // byteClasses
+	stride  int
+
+	// Phase one leaves the patterns to link: own[k] is the k-th pattern
+	// in sorted order, and end[k] the state it ends in.
+	own []PatternRef
+	end []int32
 }
 
-func (t *trie) numStates() int { return len(t.fail) }
+// node is a trie state's record: its first child (its children are
+// the states from there to the next node's kids), its failure link
+// (the root's is itself) and where its refs start (they end where the
+// next node's start). ACFull keeps the nodes of its cold states; the
+// fields share a record so that a step through a cold state reads one
+// cache line for them.
+type node struct {
+	kids, fail int32
+	out        uint32
+}
 
-// buildTrie constructs the goto tree and failure function from flat
-// arrays. The patterns are inserted in sorted order, so each one shares
-// with the previous exactly their longest common prefix and adds its
-// remaining bytes as fresh nodes: no child lookup, no per-node map. A
-// node's position in that insertion (lexicographic preorder) among the
-// nodes of its depth is its breadth-first rank within the level, so a
-// counting sort by depth yields the breadth-first numbering.
+func (t *trie) numStates() int { return len(t.label) }
+
+// buildTrie constructs the trie: the goto tree (gotoTrie), then the
+// failure function and the outputs (link), reading transitions from
+// rows for as many states as BuildFull lays out with rows.
 func (b *Builder) buildTrie() (*trie, error) {
+	t, err := b.gotoTrie()
+	if err != nil {
+		return nil, err
+	}
+	t.link(t.hotStates(t.numStates()))
+	return t, nil
+}
+
+// gotoTrie constructs the goto tree from flat arrays. The patterns are
+// inserted in sorted order, so each one shares with the previous
+// exactly their longest common prefix and adds its remaining bytes as
+// fresh nodes: no child lookup, no per-node map. A node's position in
+// that insertion (lexicographic preorder) among the nodes of its depth
+// is its breadth-first rank within the level, so once the nodes of each
+// depth are counted, every node gets its breadth-first id as it is
+// inserted.
+func (b *Builder) gotoTrie() (*trie, error) {
 	if len(b.patterns) == 0 {
 		return nil, ErrNoPatterns
 	}
-	order := make([]int32, len(b.patterns))
-	maxNodes := 1
-	for i, bp := range b.patterns {
-		order[i] = int32(i)
-		maxNodes += len(bp.pat)
-	}
-	slices.SortStableFunc(order, func(x, y int32) int {
-		return strings.Compare(b.patterns[x].pat, b.patterns[y].pat)
-	})
+	order := b.sortedOrder()
 
-	// Phase one, in preorder ids: node 0 is the root; each new node
-	// hangs off the node at the previous depth of the current chain.
-	parent := make([]int32, 1, maxNodes)
-	label := make([]byte, 1, maxNodes)
-	depth := make([]int32, 1, maxNodes)
-	end := make([]int32, len(order)) // node where order[k]'s pattern ends
-	path := []int32{0}               // path[d]: the previous pattern's node at depth d
+	// Count the nodes of each depth: pattern k adds one at every depth
+	// from its common prefix with the previous one to its length.
+	// end[k] holds that common prefix until the insertion below.
+	end := make([]int32, len(order))
+	maxLen := 0
 	prev := ""
-	maxDepth := 0
 	for k, pi := range order {
 		p := b.patterns[pi].pat
 		l := 0
 		for l < len(p) && l < len(prev) && p[l] == prev[l] {
 			l++
 		}
-		path = path[:l+1]
-		for d := l; d < len(p); d++ {
-			path = append(path, int32(len(parent)))
-			parent = append(parent, path[d])
-			label = append(label, p[d])
-			depth = append(depth, int32(d+1))
-		}
-		end[k] = path[len(p)]
-		maxDepth = max(maxDepth, len(p))
+		end[k] = int32(l)
+		maxLen = max(maxLen, len(p))
 		prev = p
 	}
-	n := len(parent)
+	next := make([]int32, maxLen+2) // next[d]: the next free id at depth d
+	for k, pi := range order {
+		next[end[k]+1]++
+		next[len(b.patterns[pi].pat)+1]--
+	}
+	n, width := int32(1), int32(0) // states so far, nodes at depth d
+	for d := 1; d <= maxLen; d++ {
+		width += next[d]
+		next[d] = n
+		n += width
+	}
 
-	// Breadth-first ids: by depth, then preorder.
-	next := make([]int32, maxDepth+2) // next[d]: the next free id at depth d
-	for _, d := range depth {
-		next[d+1]++
-	}
-	for d := 1; d < len(next); d++ {
-		next[d] += next[d-1]
-	}
-	id := make([]int32, n)
-	for pre, d := range depth {
-		id[pre] = next[d]
-		next[d]++
-	}
+	// Insert in sorted order, each new node at its depth's next id.
 	t := &trie{
-		label:  make([]byte, n),
-		kids:   make([]int32, n+1),
-		fail:   make([]int32, n),
-		outOff: make([]uint32, n+1),
+		label: make([]byte, n),
+		nodes: make([]node, n+1),
+		own:   make([]PatternRef, len(order)),
+		end:   end,
 	}
-	up := make([]int32, n) // parent, in breadth-first ids
-	for pre := 1; pre < n; pre++ {
-		c := id[pre]
-		t.label[c] = label[pre]
-		up[c] = id[parent[pre]]
-		t.kids[up[c]+1]++
+	path := make([]int32, maxLen+1) // path[d]: the previous pattern's node at depth d
+	for k, pi := range order {
+		bp := &b.patterns[pi]
+		for d := int(end[k]); d < len(bp.pat); d++ {
+			c := next[d+1]
+			next[d+1]++
+			t.label[c] = bp.pat[d]
+			t.nodes[path[d]].kids++ // counted here, made the first child below
+			path[d+1] = c
+		}
+		end[k] = path[len(bp.pat)]
+		t.nodes[end[k]].out++ // own refs; link adds the inherited ones
+		t.own[k] = bp.ref
 	}
-	t.kids[0] = 1
-	for s := 1; s <= n; s++ {
-		t.kids[s] += t.kids[s-1]
+	first := int32(1)
+	for s := range t.nodes {
+		t.nodes[s].kids, first = first, first+t.nodes[s].kids
 	}
+	t.byteClasses()
+	return t, nil
+}
 
-	// Phase two: failure links in breadth-first order, so a state's
-	// parent and every shallower state already have theirs.
-	for c := int32(1); c < int32(n); c++ {
-		if up[c] == 0 {
+// sortedOrder returns the pattern indices in byte-wise order of their
+// strings, equal strings in registration order. It is a stable
+// most-significant-byte radix sort: each span of indices that share
+// their first d bytes is counted and scattered by byte d (a string that
+// ends at d first), then each bucket is sorted from byte d+1, until a
+// span is short enough for an insertion sort.
+func (b *Builder) sortedOrder() []int32 {
+	order := make([]int32, len(b.patterns))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	tmp := make([]int32, len(order))
+	bucket := make([]uint16, len(order)) // the buckets of a span's patterns
+	type span struct{ lo, hi, d int }
+	work := []span{{0, len(order), 0}}
+	var count [257]int
+	for len(work) > 0 {
+		sp := work[len(work)-1]
+		work = work[:len(work)-1]
+		part, d := order[sp.lo:sp.hi], sp.d
+		if len(part) <= insertionSortMax {
+			b.insertionSort(part, d)
 			continue
 		}
-		for f := t.fail[up[c]]; ; f = t.fail[f] {
-			if g := t.child(f, t.label[c]); g >= 0 {
-				t.fail[c] = g
-				break
+		first, last := len(count), 0 // the buckets in use
+		bk := bucket[:len(part)]
+		for j, i := range part {
+			k := b.bucket(i, d)
+			bk[j] = uint16(k)
+			count[k]++
+			first, last = min(first, k), max(last, k)
+		}
+		at := 0
+		for k := first; k <= last; k++ {
+			count[k], at = at, at+count[k]
+		}
+		for j, i := range part {
+			k := bk[j]
+			tmp[count[k]] = i
+			count[k]++
+		}
+		copy(part, tmp[:len(part)])
+		lo := 0
+		for k := first; k <= last; k++ {
+			if hi := count[k]; hi-lo > 1 && k > 0 {
+				work = append(work, span{sp.lo + lo, sp.lo + hi, d + 1})
 			}
-			if f == 0 {
-				break
+			lo, count[k] = count[k], 0
+		}
+	}
+	return order
+}
+
+// insertionSortMax is the longest span sortedOrder sorts by insertion.
+const insertionSortMax = 16
+
+// bucket is pattern i's radix-sort bucket at byte d: 0 when it ends
+// there, else 1 + the byte.
+func (b *Builder) bucket(i int32, d int) int {
+	if p := b.patterns[i].pat; d < len(p) {
+		return 1 + int(p[d])
+	}
+	return 0
+}
+
+// insertionSort sorts part, patterns that share their first d bytes,
+// by the rest, stably.
+func (b *Builder) insertionSort(part []int32, d int) {
+	for k := 1; k < len(part); k++ {
+		i, p := part[k], b.patterns[part[k]].pat[d:]
+		j := k
+		for ; j > 0 && b.patterns[part[j-1]].pat[d:] > p; j-- {
+			part[j] = part[j-1]
+		}
+		part[j] = i
+	}
+}
+
+// link adds phase two: the failure function, and the outputs merged
+// down it. The failure link of a child c of s on byte b is the
+// transition on b of s's failure target, a shallower state. For the
+// first hot states that transition is one load from a row of their
+// transitions (deltaRows); a failure chain through the states past
+// them is walked by goto edges until it reaches one of the first.
+func (t *trie) link(hot int) {
+	n := int32(t.numStates())
+	rows := newDeltaRows(t, int32(hot))
+	classOf, nodes := &t.classOf, t.nodes
+	for s := int32(1); s < n; s++ {
+		lo, hi := nodes[s].kids, nodes[s+1].kids
+		if lo == hi {
+			continue
+		}
+		f := nodes[s].fail
+		if f < rows.hot {
+			row := rows.row(f)
+			for c := lo; c < hi; c++ {
+				g := int32(row[classOf[t.label[c]]])
+				nodes[c].fail = g
+				nodes[c].out += nodes[g].out // own refs, then inherited ones
 			}
+			continue
+		}
+		for c := lo; c < hi; c++ {
+			g := rows.next(f, t.label[c])
+			nodes[c].fail = g
+			nodes[c].out += nodes[g].out
 		}
 	}
 
 	// Outputs: a state's refs are its own patterns' plus its failure
-	// target's (the shallower state is complete first), sorted. Size
-	// every state's block, lay the blocks out in state order, put the
-	// own refs at the front of each and copy the inherited ones behind.
-	own := t.outOff[1:] // sizes first, offsets after the prefix sum
-	for _, e := range end {
-		own[id[e]]++
+	// target's, sorted. Lay the blocks out in state order, put the own
+	// refs at the front of each and copy the inherited ones behind. The
+	// patterns that end in one state are equal strings, so they are
+	// adjacent in sorted order.
+	total := uint32(0)
+	for s := range nodes {
+		nodes[s].out, total = total, total+nodes[s].out
 	}
-	for s := 1; s < n; s++ {
-		own[s] += own[t.fail[s]]
+	t.refs = make([]PatternRef, total)
+	at := uint32(0)
+	for k, s := range t.end {
+		if k == 0 || t.end[k-1] != s {
+			at = nodes[s].out
+		}
+		t.refs[at] = t.own[k]
+		at++
 	}
-	for s := 1; s <= n; s++ {
-		t.outOff[s] += t.outOff[s-1]
-	}
-	t.refs = make([]PatternRef, t.outOff[n])
-	fill := append([]uint32(nil), t.outOff[:n]...)
-	for k, pi := range order {
-		s := id[end[k]]
-		t.refs[fill[s]] = b.patterns[pi].ref
-		fill[s]++
-	}
-	for s := 1; s < n; s++ {
-		blk := t.refs[fill[s]:t.outOff[s+1]]
-		f := t.fail[s]
-		copy(blk, t.refs[t.outOff[f]:t.outOff[f+1]])
-		if mine := fill[s] - t.outOff[s]; mine > 0 && int(mine)+len(blk) > 1 {
-			sortRefs(t.refs[t.outOff[s]:t.outOff[s+1]])
+	for s := int32(1); s < n; s++ {
+		blk := t.refs[nodes[s].out:nodes[s+1].out]
+		if len(blk) == 0 {
+			continue
+		}
+		f := nodes[s].fail
+		inherited := t.refs[nodes[f].out:nodes[f+1].out]
+		copy(blk[len(blk)-len(inherited):], inherited)
+		if len(inherited) < len(blk) && len(blk) > 1 {
+			sortRefs(blk)
 		}
 	}
-	return t, nil
+	t.own, t.end = nil, nil
+}
+
+// deltaRows holds complete transition rows, one breadth-first state id
+// per byte class, for those of the first hot states that some failure
+// link is read from. A row is made the first time it is asked for: its
+// state's failure target's row, which is shallower and made first, with
+// the state's own goto edges written over it; the root's missing edges
+// lead back to the root. A merge of thousands of patterns asks for a
+// few hundred rows, so they are allocated deltaChunk at a time. The
+// entries fit 16 bits because hotStates keeps the frontier's end,
+// nodes[hot].kids, at most 65 536.
+type deltaRows struct {
+	t      *trie
+	hot    int32
+	at     []int32 // at[s]: the index of state s's row; 0 (the root's) until it has one
+	chunks [][]uint16
+	made   int32
+	chain  []int32
+}
+
+// deltaChunk is the number of rows deltaRows allocates at once.
+const deltaChunk = 64
+
+func newDeltaRows(t *trie, hot int32) *deltaRows {
+	r := &deltaRows{t: t, hot: hot, at: make([]int32, hot)}
+	r.edges(0, r.add())
+	return r
+}
+
+// add returns a new row, its index the next one.
+func (r *deltaRows) add() []uint16 {
+	if r.made%deltaChunk == 0 {
+		r.chunks = append(r.chunks, make([]uint16, deltaChunk*r.t.stride))
+	}
+	r.made++
+	return r.index(r.made - 1)
+}
+
+// index returns the row at index i.
+func (r *deltaRows) index(i int32) []uint16 {
+	return r.chunks[i/deltaChunk][int(i%deltaChunk)*r.t.stride:][:r.t.stride]
+}
+
+// row returns hot state s's transitions.
+func (r *deltaRows) row(s int32) []uint16 {
+	if s != 0 && r.at[s] == 0 {
+		r.make(s)
+	}
+	return r.index(r.at[s])
+}
+
+// make builds the rows of s and of the states on its failure chain
+// that have none, shallowest first.
+func (r *deltaRows) make(s int32) {
+	chain := r.chain[:0]
+	for ; s != 0 && r.at[s] == 0; s = r.t.nodes[s].fail {
+		chain = append(chain, s)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		s := chain[i]
+		row := r.add()
+		copy(row, r.row(r.t.nodes[s].fail))
+		r.edges(s, row)
+		r.at[s] = r.made - 1
+	}
+	r.chain = chain
+}
+
+// edges writes s's goto edges into its row.
+func (r *deltaRows) edges(s int32, row []uint16) {
+	for c := r.t.nodes[s].kids; c < r.t.nodes[s+1].kids; c++ {
+		row[r.t.classOf[r.t.label[c]]] = uint16(c)
+	}
+}
+
+// next returns the transition of state f on byte c: down f's failure
+// chain by goto edges while it is past the hot states, then one row load.
+func (r *deltaRows) next(f int32, c byte) int32 {
+	for ; f >= r.hot; f = r.t.nodes[f].fail {
+		if g := r.t.child(f, c); g >= 0 {
+			return g
+		}
+	}
+	return int32(r.row(f)[r.t.classOf[c]])
 }
 
 // child returns s's child on byte c, or -1: a binary search of s's
 // ascending edge labels.
 func (t *trie) child(s int32, c byte) int32 {
-	lo, hi := t.kids[s], t.kids[s+1]
-	for lo < hi {
+	lo, end := t.nodes[s].kids, t.nodes[s+1].kids
+	for hi := end; lo < hi; {
 		mid := int32(uint32(lo+hi) >> 1)
 		if t.label[mid] < c {
 			lo = mid + 1
@@ -224,7 +424,7 @@ func (t *trie) child(s int32, c byte) int32 {
 			hi = mid
 		}
 	}
-	if lo < t.kids[s+1] && t.label[lo] == c {
+	if lo < end && t.label[lo] == c {
 		return lo
 	}
 	return -1
@@ -242,14 +442,13 @@ func sortRefs(refs []PatternRef) {
 // renumber assigns new state IDs to the first hot states in
 // breadth-first order, the accepting ones first — the paper's trick of
 // making acceptance a single "state < f" comparison and the match table
-// a direct-access array (Section 5.1) — and keeps the breadth-first ids
-// of the states from hot on. It returns old→new and new→old mappings
-// and f, the number of accepting states below hot. Both groups keep
-// breadth-first order.
+// a direct-access array (Section 5.1). It returns the old→new and
+// new→old mappings of states [0, hot) and f, the number of accepting
+// states below hot. Both groups keep breadth-first order; the states
+// from hot on keep their breadth-first ids.
 func (t *trie) renumber(hot int32) (oldToNew, newToOld []int32, numAccepting int32) {
-	n := int32(t.numStates())
-	oldToNew = make([]int32, n)
-	newToOld = make([]int32, n)
+	oldToNew = make([]int32, hot)
+	newToOld = make([]int32, hot)
 	next := int32(0)
 	for s := int32(0); s < hot; s++ {
 		if t.accepting(s) {
@@ -259,8 +458,8 @@ func (t *trie) renumber(hot int32) (oldToNew, newToOld []int32, numAccepting int
 		}
 	}
 	numAccepting = next
-	for s := int32(0); s < n; s++ {
-		if s >= hot || !t.accepting(s) {
+	for s := int32(0); s < hot; s++ {
+		if !t.accepting(s) {
 			oldToNew[s] = next
 			newToOld[next] = s
 			next++
@@ -269,7 +468,7 @@ func (t *trie) renumber(hot int32) (oldToNew, newToOld []int32, numAccepting int
 	return oldToNew, newToOld, numAccepting
 }
 
-func (t *trie) accepting(s int32) bool { return t.outOff[s+1] > t.outOff[s] }
+func (t *trie) accepting(s int32) bool { return t.nodes[s+1].out > t.nodes[s].out }
 
 // matchTable is the accepting-state side table, indexed by new state
 // ID: the bitmap of sets with a pattern ending in the state, and the
@@ -290,7 +489,7 @@ type matchTable struct {
 func (t *trie) matchTable(newToOld []int32, numAccepting int32) matchTable {
 	m := matchTable{off: make([]uint32, numAccepting+1), refs: t.refs}
 	for newID, old := range newToOld[:numAccepting] {
-		m.off[newID+1] = t.outOff[old+1]
+		m.off[newID+1] = t.nodes[old+1].out
 	}
 	m.fillBitmaps()
 	return m

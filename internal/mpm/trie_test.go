@@ -185,7 +185,7 @@ func checkTrieAgainstReference(t *testing.T, b *Builder) {
 	}
 	for s := int32(0); s < int32(tr.numStates()); s++ {
 		var kids []int32
-		for c := tr.kids[s]; c < tr.kids[s+1]; c++ {
+		for c := tr.nodes[s].kids; c < tr.nodes[s+1].kids; c++ {
 			kids = append(kids, c)
 		}
 		if !slices.Equal(kids, ref.kids[s]) {
@@ -194,10 +194,10 @@ func checkTrieAgainstReference(t *testing.T, b *Builder) {
 		if s > 0 && tr.label[s] != ref.label[s] {
 			t.Fatalf("state %d: label %q, reference %q", s, tr.label[s], ref.label[s])
 		}
-		if tr.fail[s] != ref.fail[s] {
-			t.Fatalf("state %d: fail %d, reference %d", s, tr.fail[s], ref.fail[s])
+		if tr.nodes[s].fail != ref.fail[s] {
+			t.Fatalf("state %d: fail %d, reference %d", s, tr.nodes[s].fail, ref.fail[s])
 		}
-		if out := tr.refs[tr.outOff[s]:tr.outOff[s+1]]; !slices.Equal(out, ref.out[s]) {
+		if out := tr.refs[tr.nodes[s].out:tr.nodes[s+1].out]; !slices.Equal(out, ref.out[s]) {
 			t.Fatalf("state %d: refs %v, reference %v", s, out, ref.out[s])
 		}
 	}
@@ -251,6 +251,167 @@ func TestTrieEdgeCases(t *testing.T) {
 				}
 			}
 			checkAgainstNaive(t, b, a, text, []int{1, 1000})
+		})
+	}
+}
+
+// FuzzFailureLinks checks link against the definitions it implements,
+// state by state: a state's failure link is the state of the longest
+// proper suffix of its path that is a path of the trie, and its refs are
+// those of the patterns that are suffixes of its path, sorted by (set,
+// id). link reads transitions from rows for the first hot states and
+// walks the failure chains of the others, so the trie is linked at a
+// hot count drawn by the fuzzer. pats is read as length-prefixed
+// strings (1 to 8 bytes, at most 48, dealt to three sets); each flags
+// bit, in turn, also registers a pattern again in the next set, adds a
+// proper prefix of it and adds a proper suffix of it.
+func FuzzFailureLinks(f *testing.F) {
+	var every []byte // 32 patterns of 8 bytes covering all 256 values
+	for c := 0; c < 256; c++ {
+		if c%8 == 0 {
+			every = append(every, 7)
+		}
+		every = append(every, byte(c))
+	}
+	f.Add(every, uint64(0x249249249), uint16(3))
+	f.Add([]byte{0, 'a', 0, 'b', 1, 'a', 'b', 2, 'b', 'a', 'b', 3, 'a', 'b', 'a', 'b'}, uint64(0xff), uint16(2))
+	f.Add([]byte{1, 'h', 'e', 2, 's', 'h', 'e', 2, 'h', 'i', 's', 3, 'h', 'e', 'r', 's'}, uint64(0), uint16(0xffff))
+	f.Add([]byte{0, 0, 0, 0xff, 7, 0, 0xff, 0, 0xff, 0, 0xff, 0, 0xff}, uint64(0x5555), uint16(1))
+	// fail(xabc) = bc, the transition on c of fail(xab) = ab, which ab's
+	// row takes from its own failure target's, b's.
+	f.Add([]byte{3, 'x', 'a', 'b', 'c', 1, 'a', 'b', 1, 'b', 'c'}, uint64(0), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, pats []byte, flags uint64, hot uint16) {
+		b := NewBuilder()
+		add := func(p string) {
+			n := b.NumPatterns()
+			if err := b.Add(n%3, n/3, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n := 0; len(pats) > 1 && n < 48; n++ {
+			l := min(1+int(pats[0]%8), len(pats)-1)
+			p := string(pats[1 : 1+l])
+			pats = pats[1+l:]
+			add(p)
+			for _, extra := range []string{p, p[:len(p)-1], p[1:]} {
+				if flags&1 != 0 && extra != "" {
+					add(extra)
+				}
+				flags = flags>>1 | flags<<63
+			}
+		}
+		if b.NumPatterns() == 0 {
+			return
+		}
+		tr, err := b.gotoTrie()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.link(tr.hotStates(1 + int(hot)%tr.numStates()))
+		checkLinksByDefinition(t, b, tr)
+	})
+}
+
+// checkLinksByDefinition compares tr's failure links and refs with the
+// ones its states' paths define.
+func checkLinksByDefinition(t *testing.T, b *Builder, tr *trie) {
+	t.Helper()
+	n := tr.numStates()
+	path := make([]string, n)
+	stateOf := map[string]int32{"": 0}
+	for s := range int32(n) {
+		for c := tr.nodes[s].kids; c < tr.nodes[s+1].kids; c++ {
+			path[c] = path[s] + string(tr.label[c:c+1])
+			stateOf[path[c]] = c
+		}
+	}
+	prefixes := map[string]bool{"": true}
+	for _, bp := range b.patterns {
+		for l := 1; l <= len(bp.pat); l++ {
+			prefixes[bp.pat[:l]] = true
+		}
+	}
+	if len(prefixes) != n || len(stateOf) != n {
+		t.Fatalf("%d states, %d distinct paths; the patterns have %d distinct prefixes", n, len(stateOf), len(prefixes))
+	}
+	for s := range int32(n) {
+		p := path[s]
+		want := int32(0)
+		for l := 1; l < len(p); l++ {
+			if g, ok := stateOf[p[l:]]; ok {
+				want = g
+				break
+			}
+		}
+		if got := tr.nodes[s].fail; got != want {
+			t.Fatalf("state %d %q: failure link %d %q, want %d %q", s, p, got, path[got], want, path[want])
+		}
+		var refs []PatternRef
+		for _, bp := range b.patterns {
+			if len(bp.pat) <= len(p) && p[len(p)-len(bp.pat):] == bp.pat {
+				refs = append(refs, bp.ref)
+			}
+		}
+		sortRefs(refs)
+		if got := tr.refs[tr.nodes[s].out:tr.nodes[s+1].out]; !slices.Equal(got, refs) {
+			t.Fatalf("state %d %q: refs %v, want %v", s, p, got, refs)
+		}
+	}
+}
+
+// BenchmarkBuildPhases splits BenchmarkBuildFull (root bench_test.go)
+// into the compile's three phases on the same pattern sets: goto sorts
+// the patterns and builds the goto tree (gotoTrie), link adds the
+// failure links and the outputs, and layout renumbers the states and
+// writes the rows and the cold states' records (compileFull). Each
+// phase is timed alone; the phases before it run with the timer
+// stopped.
+func BenchmarkBuildPhases(b *testing.B) {
+	snort1 := patterns.SnortLike(2000, 1).Strings()
+	for _, bc := range []struct {
+		name string
+		sets [][]string
+	}{
+		{"snort-2000", [][]string{snort1}},
+		{"multi-tenant", [][]string{snort1, patterns.ClamAVLike(2000, 3).Strings(), patterns.SnortLike(2000, 2).Strings()}},
+	} {
+		bd := NewBuilder()
+		for i, s := range bc.sets {
+			if err := bd.AddSet(i, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		gotoTrie := func(b *testing.B) *trie {
+			tr, err := bd.gotoTrie()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return tr
+		}
+		b.Run(bc.name+"/goto", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gotoTrie(b)
+			}
+		})
+		b.Run(bc.name+"/link", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := gotoTrie(b)
+				b.StartTimer()
+				tr.link(tr.hotStates(tr.numStates()))
+			}
+		})
+		b.Run(bc.name+"/layout", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tr := gotoTrie(b)
+				tr.link(tr.hotStates(tr.numStates()))
+				b.StartTimer()
+				compileFull(tr, bd.NumPatterns(), tr.numStates())
+			}
 		})
 	}
 }
