@@ -246,8 +246,8 @@ func BenchmarkSlowdownScanVsConsume(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationMatchers compares full-table AC, compact AC and
-// Wu-Manber (the space-time tradeoff behind MCA² dedicated instances).
+// BenchmarkAblationMatchers compares full-table AC with Wu-Manber, the
+// stream matcher with the whole-buffer baseline.
 func BenchmarkAblationMatchers(b *testing.B) {
 	set := patterns.SnortLike(patterns.SnortFullSize, benchSeed)
 	corpus := benchCorpus(set, 1<<20)
@@ -259,10 +259,6 @@ func BenchmarkAblationMatchers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	compact, err := bd.BuildCompact()
-	if err != nil {
-		b.Fatal(err)
-	}
 	wm, err := bd.BuildWuManber()
 	if err != nil {
 		b.Fatal(err)
@@ -271,15 +267,10 @@ func BenchmarkAblationMatchers(b *testing.B) {
 	for _, p := range corpus {
 		total += int64(len(p))
 	}
-	for _, tc := range []struct {
-		name string
-		a    mpm.Automaton
-	}{{"ac-full", full}, {"ac-compact", compact}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(total)
-			bench.MeasureAutomaton(tc.name, tc.a, corpus, b.N)
-		})
-	}
+	b.Run("ac-full", func(b *testing.B) {
+		b.SetBytes(total)
+		bench.MeasureAutomaton("ac-full", full, corpus, b.N)
+	})
 	b.Run("wu-manber", func(b *testing.B) {
 		emit := func(refs []mpm.PatternRef, end int) {}
 		b.SetBytes(total)
@@ -295,14 +286,19 @@ func BenchmarkAblationMatchers(b *testing.B) {
 // registered pattern sets into one full-table automaton, paid before
 // the first verdict on every instance start, failover and pattern
 // update (Sections 4, 5.1). multi-tenant is the three literal sets of
-// the benchmark module's workload of that name.
+// the benchmark module's workload of that name; multi-tenant/lean is
+// their lean layout, the compile of an MCA² dedicated instance
+// (Section 4.3.1) on every failover to one.
 func BenchmarkBuildFull(b *testing.B) {
+	multi := []*patterns.Set{patterns.SnortLike(2000, 1), patterns.ClamAVLike(2000, 3), patterns.SnortLike(2000, 2)}
 	for _, bc := range []struct {
-		name string
-		sets []*patterns.Set
+		name  string
+		sets  []*patterns.Set
+		build func(*mpm.Builder) (*mpm.ACFull, error)
 	}{
-		{"snort-2000", []*patterns.Set{patterns.SnortLike(2000, 1)}},
-		{"multi-tenant", []*patterns.Set{patterns.SnortLike(2000, 1), patterns.ClamAVLike(2000, 3), patterns.SnortLike(2000, 2)}},
+		{"snort-2000", []*patterns.Set{patterns.SnortLike(2000, 1)}, (*mpm.Builder).BuildFull},
+		{"multi-tenant", multi, (*mpm.Builder).BuildFull},
+		{"multi-tenant/lean", multi, (*mpm.Builder).BuildLean},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			bd := mpm.NewBuilder()
@@ -314,7 +310,7 @@ func BenchmarkBuildFull(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := bd.BuildFull(); err != nil {
+				if _, err := bc.build(bd); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,7 +38,7 @@ func main() {
 		wireAddr   = flag.String("listen", "", "batched-UDP wire data-plane listen address (empty disables)")
 		verdicts   = flag.String("verdicts", "", "wire address of a middlebox verdict consumer; non-empty match reports are forwarded there (empty disables)")
 		id         = flag.String("id", "dpi-1", "instance identifier")
-		dedicated  = flag.Bool("dedicated", false, "run as an MCA2 dedicated instance (compact automaton)")
+		dedicated  = flag.Bool("dedicated", false, "run as an MCA2 dedicated instance (memory-lean automaton: 128 KiB of rows, failure links below)")
 		telEvery   = flag.Duration("telemetry", 10*time.Second, "telemetry export interval (0 disables)")
 		leaseEvery = flag.Duration("lease", 5*time.Second, "liveness lease renewal interval (0 disables leasing; keep well under the controller's lease TTL)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")

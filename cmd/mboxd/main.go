@@ -88,14 +88,7 @@ func main() {
 	log.Printf("mboxd %s: registered, pattern set %d", *id, ack.Set)
 
 	if set != nil {
-		var defs []ctlproto.PatternDef
-		for _, p := range set.Patterns {
-			defs = append(defs, ctlproto.PatternDef{RuleID: p.ID, Content: []byte(p.Content)})
-		}
-		for _, r := range set.Regexes {
-			defs = append(defs, ctlproto.PatternDef{RuleID: r.ID, Regex: r.Expr})
-		}
-		if len(defs) > 0 {
+		if defs := controller.PatternDefs(set); len(defs) > 0 {
 			if err := cl.AddPatterns(ctx, *id, defs); err != nil {
 				log.Fatalf("mboxd: add patterns: %v", err)
 			}

@@ -217,21 +217,13 @@ func TestAblationMatchersQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 2 || rows[0].Matcher != "ac-full" || rows[1].Matcher != "wu-manber" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	byName := map[string]AblationMatcherRow{}
 	for _, r := range rows {
-		if r.Mbps <= 0 {
-			t.Errorf("no throughput: %+v", r)
+		if r.Mbps <= 0 || r.SpaceMB <= 0 {
+			t.Errorf("no throughput or space: %+v", r)
 		}
-		byName[r.Matcher] = r
-	}
-	if byName["ac-compact"].SpaceMB >= byName["ac-full"].SpaceMB {
-		t.Error("compact AC not smaller than full AC")
-	}
-	if byName["ac-full"].Mbps <= byName["ac-compact"].Mbps {
-		t.Error("full AC not faster than compact AC")
 	}
 }
 
@@ -283,8 +275,8 @@ func TestLanesQuick(t *testing.T) {
 		t.Errorf("matches: adversarial %d <= low-match %d", adv.Matches, low.Matches)
 	}
 	// Both automaton kinds find the same matches in the cold walk.
-	if full, compact := results[2], results[3]; full.Matches != compact.Matches || full.Matches == 0 {
-		t.Errorf("cold walk: %d matches with the full automaton, %d with the compact one", full.Matches, compact.Matches)
+	if full, lean := results[2], results[3]; full.Matches != lean.Matches || full.Matches == 0 {
+		t.Errorf("cold walk: %d matches with the full automaton, %d with the lean one", full.Matches, lean.Matches)
 	}
 }
 

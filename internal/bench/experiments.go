@@ -397,7 +397,8 @@ func fig10Point(o Options, setA, setB, injectFrom *patterns.Set) (*Fig10Result, 
 // whose rows exceed the dense budget (2 000 patterns, 17 000 states,
 // under -quick; 4 356 and 36 270 otherwise), walked by the attack mix
 // stitched from the whole set, so the walks spend their bytes in cold
-// states. "coldwalk-compact" is AutoCompact on the same set and corpus.
+// states. "coldwalk-compact" is AutoCompact, the lean layout of
+// MCA² dedicated instances, on the same set and corpus.
 func Lanes(o Options) ([]Result, error) {
 	o.defaults()
 	total, clamTotal := patterns.SnortFullSize, patterns.SnortFullSize
@@ -626,9 +627,10 @@ type AblationMatcherRow struct {
 	SpaceMB float64
 }
 
-// AblationMatchers compares full-table AC, compact AC and Wu-Manber on
-// the same pattern set and corpus — the space-time tradeoff behind the
-// MCA² dedicated instances.
+// AblationMatchers compares the full-table AC DFA with Wu-Manber on the
+// same pattern set and corpus; AblationEngineKinds compares the full and
+// lean layouts of the DFA, the space-time tradeoff behind the MCA²
+// dedicated instances.
 func AblationMatchers(o Options) ([]AblationMatcherRow, error) {
 	o.defaults()
 	total := patterns.SnortFullSize
@@ -645,22 +647,12 @@ func AblationMatchers(o Options) ([]AblationMatcherRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	compact, err := b.BuildCompact()
-	if err != nil {
-		return nil, err
-	}
 	wm, err := b.BuildWuManber()
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationMatcherRow
-	for _, tc := range []struct {
-		name string
-		a    mpm.Automaton
-	}{{"ac-full", full}, {"ac-compact", compact}} {
-		r := MeasureAutomaton(tc.name, tc.a, corpus, o.Repeat)
-		rows = append(rows, AblationMatcherRow{tc.name, r.ThroughputMbps(), float64(tc.a.MemoryBytes()) / 1e6})
-	}
+	r := MeasureAutomaton("ac-full", full, corpus, o.Repeat)
+	rows := []AblationMatcherRow{{"ac-full", r.ThroughputMbps(), float64(full.MemoryBytes()) / 1e6}}
 	// Wu-Manber is a whole-buffer matcher; measure Find.
 	start := time.Now()
 	var bytes int64

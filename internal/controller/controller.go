@@ -111,6 +111,7 @@ type setRecord struct {
 type ruleEntry struct {
 	content string // exact bytes, or
 	regex   string // regular expression (exactly one is set)
+	mods    ctlproto.Modifiers
 	refs    map[string]bool
 }
 
@@ -231,7 +232,7 @@ func (c *Controller) Deregister(mboxID string) error {
 // AddPatterns registers patterns for a middlebox. A pattern already
 // registered by another middlebox is tracked under the same internal ID
 // with an additional reference (Section 4.1). A rule ID already present
-// in the set with different content is a conflict.
+// in the set with different content or modifiers is a conflict.
 func (c *Controller) AddPatterns(mboxID string, defs []ctlproto.PatternDef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -248,8 +249,11 @@ func (c *Controller) AddPatterns(mboxID string, defs []ctlproto.PatternDef) erro
 			return fmt.Errorf("%w: rule %d must carry exactly one of content or regex",
 				ErrRuleConflict, d.RuleID)
 		}
+		if d.Offset < 0 || d.Depth < 0 || (d.Regex != "" && d.Modifiers != ctlproto.Modifiers{}) {
+			return fmt.Errorf("%w: rule %d: modifiers %+v", ErrRuleConflict, d.RuleID, d.Modifiers)
+		}
 		if existing, ok := rec.set.rules[d.RuleID]; ok {
-			if existing.content != string(d.Content) || existing.regex != d.Regex {
+			if existing.content != string(d.Content) || existing.regex != d.Regex || existing.mods != d.Modifiers {
 				return fmt.Errorf("%w: rule %d redefined with different body", ErrRuleConflict, d.RuleID)
 			}
 		}
@@ -257,7 +261,7 @@ func (c *Controller) AddPatterns(mboxID string, defs []ctlproto.PatternDef) erro
 	for _, d := range defs {
 		entry, ok := rec.set.rules[d.RuleID]
 		if !ok {
-			entry = ruleEntry{content: string(d.Content), regex: d.Regex, refs: make(map[string]bool)}
+			entry = ruleEntry{content: string(d.Content), regex: d.Regex, mods: d.Modifiers, refs: make(map[string]bool)}
 		}
 		entry.refs[mboxID] = true
 		rec.set.rules[d.RuleID] = entry
@@ -269,6 +273,21 @@ func (c *Controller) AddPatterns(mboxID string, defs []ctlproto.PatternDef) erro
 	c.met.globalPatterns.Set(int64(len(c.global)))
 	c.bumpLocked()
 	return nil
+}
+
+// PatternDefs renders a pattern set as the definitions a middlebox
+// registers with AddPatterns: each content with its modifiers, then
+// each regex.
+func PatternDefs(set *patterns.Set) []ctlproto.PatternDef {
+	defs := make([]ctlproto.PatternDef, 0, len(set.Patterns)+len(set.Regexes))
+	for _, p := range set.Patterns {
+		defs = append(defs, ctlproto.PatternDef{RuleID: p.ID, Content: []byte(p.Content),
+			Modifiers: ctlproto.Modifiers{NoCase: p.NoCase, Offset: p.Offset, Depth: p.Depth}})
+	}
+	for _, r := range set.Regexes {
+		defs = append(defs, ctlproto.PatternDef{RuleID: r.ID, Regex: r.Expr})
+	}
+	return defs
 }
 
 // RemovePatterns drops a middlebox's references to the given rule IDs.
@@ -514,7 +533,7 @@ func (c *Controller) profileLocked(set *setRecord) core.Profile {
 		r := set.rules[id]
 		if r.content != "" {
 			p.Patterns.Patterns = append(p.Patterns.Patterns,
-				patterns.Pattern{ID: id, Content: r.content})
+				patterns.Pattern{ID: id, Content: r.content, NoCase: r.mods.NoCase, Offset: r.mods.Offset, Depth: r.mods.Depth})
 		} else {
 			p.Patterns.Regexes = append(p.Patterns.Regexes,
 				patterns.Regex{ID: id, Expr: r.regex})
@@ -569,18 +588,11 @@ func (c *Controller) initSectionLocked(tags []uint16) ([]byte, error) {
 	}
 	profiles := make([]ctlproto.ProfileDef, len(cfg.Profiles))
 	for i, p := range cfg.Profiles {
-		pd := &profiles[i]
-		*pd = ctlproto.ProfileDef{
+		profiles[i] = ctlproto.ProfileDef{
 			Set: p.ID, Name: p.Name, Stateful: p.Stateful,
 			ReadOnly: p.ReadOnly, StopAfter: p.StopAfter,
 			Mboxes:   c.setMembersLocked(p.ID),
-			Patterns: make([]ctlproto.PatternDef, 0, len(p.Patterns.Patterns)+len(p.Patterns.Regexes)),
-		}
-		for _, pat := range p.Patterns.Patterns {
-			pd.Patterns = append(pd.Patterns, ctlproto.PatternDef{RuleID: pat.ID, Content: []byte(pat.Content)})
-		}
-		for _, rx := range p.Patterns.Regexes {
-			pd.Patterns = append(pd.Patterns, ctlproto.PatternDef{RuleID: rx.ID, Regex: rx.Expr})
+			Patterns: PatternDefs(p.Patterns),
 		}
 	}
 	chains := make([]ctlproto.ChainDef, len(tags))
@@ -659,7 +671,8 @@ func ConfigFromInit(init ctlproto.InstanceInit) (core.Config, error) {
 			if d.Regex != "" {
 				p.Patterns.Regexes = append(p.Patterns.Regexes, patterns.Regex{ID: d.RuleID, Expr: d.Regex})
 			} else {
-				p.Patterns.Patterns = append(p.Patterns.Patterns, patterns.Pattern{ID: d.RuleID, Content: contents[off : off+len(d.Content)]})
+				p.Patterns.Patterns = append(p.Patterns.Patterns, patterns.Pattern{ID: d.RuleID, Content: contents[off : off+len(d.Content)],
+					NoCase: d.NoCase, Offset: d.Offset, Depth: d.Depth})
 				off += len(d.Content)
 			}
 		}

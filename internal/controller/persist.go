@@ -66,6 +66,7 @@ type stateRule struct {
 	Content []byte   `json:"content,omitempty"`
 	Regex   string   `json:"regex,omitempty"`
 	Refs    []string `json:"refs"`
+	ctlproto.Modifiers
 }
 
 type stateChain struct {
@@ -115,7 +116,7 @@ func (c *Controller) SaveState(w io.Writer) error {
 		sort.Ints(ids)
 		for _, id := range ids {
 			r := set.rules[id]
-			sr := stateRule{ID: id, Regex: r.regex}
+			sr := stateRule{ID: id, Regex: r.regex, Modifiers: r.mods}
 			if r.content != "" {
 				sr.Content = []byte(r.content)
 			}
@@ -165,7 +166,7 @@ func (c *Controller) LoadState(r io.Reader) error {
 			if len(sr.Refs) == 0 {
 				return fmt.Errorf("%w: rule %d of set %q has no refs", ErrBadStateFile, sr.ID, ss.Type)
 			}
-			entry := ruleEntry{content: string(sr.Content), regex: sr.Regex, refs: make(map[string]bool)}
+			entry := ruleEntry{content: string(sr.Content), regex: sr.Regex, mods: sr.Modifiers, refs: make(map[string]bool)}
 			for _, ref := range sr.Refs {
 				entry.refs[ref] = true
 			}

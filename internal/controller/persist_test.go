@@ -13,7 +13,8 @@ import (
 )
 
 // populatedController builds a controller with two middleboxes (one
-// regex rule, one binary pattern, one shared pattern) and a chain.
+// regex rule, one binary pattern, one shared pattern, one with content
+// modifiers) and a chain.
 func populatedController(t *testing.T) (*Controller, uint16) {
 	t.Helper()
 	c := New()
@@ -28,6 +29,7 @@ func populatedController(t *testing.T) (*Controller, uint16) {
 		{RuleID: 1, Content: []byte{0x00, 0xff, 0x13, 0x37, 0xde, 0xad}},
 		{RuleID: 2, Regex: `evil\d+marker`},
 		{RuleID: 3, Content: []byte("shared-bytes")},
+		{RuleID: 4, Content: []byte("get /"), Modifiers: ctlproto.Modifiers{NoCase: true, Offset: 1, Depth: 6}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("attack-sig \x00\xff\x13\x37\xde\xad evil42marker shared-bytes")
+	payload := []byte(" GeT /attack-sig \x00\xff\x13\x37\xde\xad evil42marker shared-bytes")
 	tuple := packet.FiveTuple{Protocol: packet.IPProtoTCP}
 	rA, err := eA.Inspect(tag, tuple, payload)
 	if err != nil {

@@ -92,7 +92,7 @@ func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 // inspectRun scans one run of items in arrival order — the lane
 // scheduler. Up to mpm.LaneWidth scans are in flight: each is prepared
 // when a slot takes it, its DFA stage advances in lockstep with the
-// others' (acLanes.Advance), and the moment its packet ends it is
+// others' (auto.Advance), and the moment its packet ends it is
 // finished and the slot takes the next item, so slots stay full across
 // ragged packet lengths and at most LaneWidth scratches and flow
 // check-outs are live.
@@ -108,7 +108,7 @@ func (e *Engine) InspectBatch(items []BatchItem, workers int) {
 //
 //dpi:hotpath
 func (e *Engine) inspectRun(items []BatchItem) {
-	if e.acLanes == nil || len(items) == 1 {
+	if e.auto == nil || len(items) == 1 {
 		for i := range items {
 			it := &items[i]
 			it.Report, it.Err = e.inspectOne(it.Tag, it.Tuple, it.Payload, it.Buf)
@@ -160,7 +160,7 @@ func (e *Engine) inspectRun(items []BatchItem) {
 			runtime.Gosched()
 			continue
 		}
-		e.acLanes.Advance(&ls)
+		e.auto.Advance(&ls)
 		for k := 0; k < ls.Len(); {
 			if !ls.Done(k) {
 				k++

@@ -13,9 +13,9 @@
 //   - two-stage regular expression handling via anchor extraction with
 //     confirmation by a full regex engine, plus the direct-evaluation
 //     path for anchor-poor expressions (Section 5.3);
-//   - two automaton kinds: the full-table DFA every shared instance runs
-//     (Sections 3 and 5.1) and the compact failure-link automaton of
-//     MCA² dedicated instances (Section 4.3.1).
+//   - two layouts of that automaton: the full-table DFA every shared
+//     instance runs (Sections 3 and 5.1), and the lean one, failure links
+//     below a small front of rows, of MCA² dedicated ones (Section 4.3.1).
 package core
 
 import (
@@ -38,11 +38,11 @@ const RegexReportBase = 1 << 14
 type AutomatonKind int
 
 const (
-	// AutoFull selects the full-table Aho-Corasick DFA (fastest,
-	// largest; the paper's primary engine and the one kind with lanes).
+	// AutoFull selects the full-table Aho-Corasick DFA, the paper's
+	// primary engine: 4 MiB of rows (mpm.Builder.BuildFull).
 	AutoFull AutomatonKind = iota
-	// AutoCompact selects the failure-link representation used by MCA²
-	// dedicated instances (Section 4.3.1).
+	// AutoCompact selects the same automaton with 128 KiB of rows, the
+	// memory-lean one of MCA² dedicated instances (Section 4.3.1, BuildLean).
 	AutoCompact
 )
 

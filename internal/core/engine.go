@@ -22,18 +22,17 @@ import (
 // a machine's cores — the in-process equivalent of the paper's "k VMs,
 // one per core" deployment (Section 6.2, Figure 8).
 type Engine struct {
-	auto mpm.Automaton
-	// acLanes is the concrete full-table automaton when Kind is AutoFull,
-	// the one kind with lanes: InspectBatch streams each run of packets
-	// through mpm.LaneWidth lockstep walks of it (inspectRun).
-	acLanes *mpm.ACFull
+	// auto is the merged automaton, nil when no profile has a pattern:
+	// InspectBatch streams each run of packets through mpm.LaneWidth
+	// lockstep walks of it (inspectRun).
+	auto *mpm.ACFull
 	// start and foldStart are the automata's start states, the state a
 	// new flow and every stateless scan begins in.
 	start, foldStart mpm.State
 	// autoFold matches the case-insensitive (Snort nocase) patterns
 	// against a case-folded view of the payload; nil when no profile
 	// has any.
-	autoFold mpm.Automaton
+	autoFold *mpm.ACFull
 	foldMask uint64 // sets contributing nocase patterns
 	profiles map[int]*compiledProfile
 	// profileBySet is the hot-path view of profiles, indexed by set ID
@@ -240,46 +239,29 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.profiles[p.ID] = cp
 		e.profileBySet[p.ID] = cp
 	}
-	var (
-		auto mpm.Automaton
-		err  error
-	)
+	build := (*mpm.Builder).BuildFull
 	switch cfg.Kind {
 	case AutoFull:
-		var full *mpm.ACFull
-		if full, err = b.BuildFull(); err == nil {
-			auto = full
-			e.acLanes = full
-		}
 	case AutoCompact:
-		auto, err = b.BuildCompact()
+		build = (*mpm.Builder).BuildLean
 	default:
 		return nil, fmt.Errorf("core: unknown automaton kind %d", cfg.Kind)
 	}
-	if err != nil {
+	auto, err := build(b)
+	switch {
+	case err == nil:
+		e.auto, e.start = auto, auto.Start()
+	case err != mpm.ErrNoPatterns:
 		// A configuration with only regexes and no extractable anchors
 		// yields an empty automaton; that is still a valid instance.
-		if err != mpm.ErrNoPatterns {
-			return nil, err
-		}
-		auto = nil
-	}
-	e.auto = auto
-	if auto != nil {
-		e.start = auto.Start()
+		return nil, err
 	}
 	if bFold.NumPatterns() > 0 {
-		var fold mpm.Automaton
-		if cfg.Kind == AutoCompact {
-			fold, err = bFold.BuildCompact()
-		} else {
-			fold, err = bFold.BuildFull()
-		}
+		fold, err := build(bFold)
 		if err != nil {
 			return nil, err
 		}
-		e.autoFold = fold
-		e.foldStart = fold.Start()
+		e.autoFold, e.foldStart = fold, fold.Start()
 	}
 	for tag, members := range cfg.Chains {
 		ci := &chainInfo{tag: tag}
@@ -337,7 +319,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	reg.Gauge("core.patterns").Set(int64(e.NumPatterns()))
 	reg.Gauge("core.states").Set(int64(e.NumStates()))
 	reg.Gauge("core.memory_bytes").Set(e.MemoryBytes())
-	if e.acLanes != nil {
+	if e.auto != nil {
 		reg.Gauge("core.batch_lanes").Set(mpm.LaneWidth)
 	}
 	e.scratchPool.New = func() any { return e.newScratch() }

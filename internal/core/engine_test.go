@@ -6,10 +6,12 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dpiservice/internal/packet"
 	"dpiservice/internal/patterns"
+	"dpiservice/internal/traffic"
 )
 
 var testTuple = packet.FiveTuple{
@@ -716,47 +718,133 @@ func TestRangeCoalescingThroughEngine(t *testing.T) {
 	}
 }
 
+// TestCompactKindEquivalence is the differential of the two automaton
+// kinds: AutoCompact's lean layout gives every packet the report
+// AutoFull's gives it, through Inspect and through InspectBatch runs.
+// The stateful set is ClamAV-like 2 000 (~17 000 states over the 256
+// byte values), so the lean layout has rows for 256 states and leaves
+// the rest cold, and its flows carry the attack mix stitched from the
+// set, which keeps the walks in cold states; each flow's stream is cut
+// into packets at random, so the state handed from one packet to the
+// next is often a cold one. A stateless case-insensitive set on the
+// same chain runs the case-fold automaton of either kind.
 func TestCompactKindEquivalence(t *testing.T) {
+	clam := patterns.ClamAVLike(2000, 3)
+	fold := patterns.SnortLike(300, 1)
+	for i := range fold.Patterns {
+		fold.Patterns[i].NoCase = true
+	}
 	mk := func(kind AutomatonKind) *Engine {
-		cfg := twoBoxConfig()
-		cfg.Kind = kind
-		e, err := NewEngine(cfg)
+		e, err := NewEngine(Config{
+			Kind: kind,
+			Profiles: []Profile{
+				{ID: 0, Name: "av", Stateful: true, Patterns: clam},
+				{ID: 1, Name: "ids", Patterns: fold},
+			},
+			Chains: map[uint16][]int{1: {0, 1}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	full, compact := mk(AutoFull), mk(AutoCompact)
 	rng := rand.New(rand.NewSource(3))
-	inputs := [][]byte{
-		[]byte("attack-sig"), []byte("malware-body evil /etc/passwd"),
-		[]byte("nothing here"),
-	}
-	for i := 0; i < 20; i++ {
-		buf := make([]byte, 200)
-		for j := range buf {
-			buf[j] = byte(rng.Intn(256))
+	attack := traffic.NewGenerator(traffic.Config{Seed: 3, Mix: traffic.AttackMix, InjectPatterns: clam.Strings()})
+	http := traffic.NewGenerator(traffic.Config{Seed: 4, Mix: traffic.HTTPMix, MatchFraction: 0.5, InjectPatterns: fold.Strings()})
+	// Each flow's stream, cut at random; packets are dealt out in an
+	// order that interleaves flows but keeps each flow's own order.
+	const flows = 24
+	var streams [flows][][]byte
+	for f := range streams {
+		var stream []byte
+		for len(stream) < 12<<10 {
+			stream = append(stream, attack.Payload()...)
+			stream = append(stream, bytes.ToUpper(http.Payload())...)
 		}
-		copy(buf[50:], "evil")
-		inputs = append(inputs, buf)
-	}
-	for i, in := range inputs {
-		tpl := testTuple
-		tpl.SrcPort = uint16(i)
-		rf, err := full.Inspect(1, tpl, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc, err := compact.Inspect(1, tpl, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(flatten(rf), flatten(rc)) {
-			t.Errorf("input %d: full %v, compact %v", i, flatten(rf), flatten(rc))
+		for len(stream) > 0 {
+			n := min(len(stream), 1+rng.Intn(700))
+			streams[f] = append(streams[f], stream[:n])
+			stream = stream[n:]
 		}
 	}
-	if full.MemoryBytes() <= compact.MemoryBytes() {
-		t.Errorf("full (%d B) not larger than compact (%d B)", full.MemoryBytes(), compact.MemoryBytes())
+	var (
+		items []BatchItem
+		start []int // the stream offset of each item's first byte
+		off   [flows]int
+	)
+	for left := flows; left > 0; {
+		f := rng.Intn(flows)
+		if len(streams[f]) == 0 {
+			continue
+		}
+		p := streams[f][0]
+		items, start = append(items, BatchItem{Tag: 1, Tuple: parallelFlowTuple(f), Payload: p}), append(start, off[f])
+		off[f] += len(p)
+		if streams[f] = streams[f][1:]; len(streams[f]) == 0 {
+			left--
+		}
+	}
+	inspect := func(e *Engine) [][]rec {
+		out := make([][]rec, len(items))
+		for i, it := range items {
+			r, err := e.Inspect(it.Tag, it.Tuple, it.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = flatten(r)
+		}
+		return out
+	}
+	batch := func(e *Engine) [][]rec {
+		out := make([][]rec, len(items))
+		for lo := 0; lo < len(items); {
+			run := slices.Clone(items[lo:min(len(items), lo+1+rng.Intn(80))])
+			e.InspectBatch(run, 1)
+			for i, it := range run {
+				if it.Err != nil {
+					t.Fatal(it.Err)
+				}
+				out[lo+i] = flatten(it.Report)
+			}
+			lo += len(run)
+		}
+		return out
+	}
+	full, lean := mk(AutoFull), mk(AutoCompact)
+	want := inspect(full)
+	matched, straddled := [2]int{}, 0
+	for i := range items {
+		for _, r := range want[i] {
+			matched[r.mbox]++
+			if r.mbox == 0 && int(r.pos)-len(clam.Patterns[r.pat].Content) < start[i] {
+				straddled++ // begun in an earlier packet: found from the state it handed over
+			}
+		}
+	}
+	if matched[0] < 1000 || matched[1] < 50 || straddled < 100 {
+		t.Fatalf("%d packets: %v matches per set, %d across packets: the corpus exercises nothing", len(items), matched, straddled)
+	}
+	for _, tc := range []struct {
+		name string
+		got  [][]rec
+	}{
+		{"lean Inspect", inspect(lean)},
+		{"full InspectBatch", batch(mk(AutoFull))},
+		{"lean InspectBatch", batch(mk(AutoCompact))},
+	} {
+		for i := range items {
+			if !reflect.DeepEqual(tc.got[i], want[i]) {
+				t.Fatalf("%s, packet %d (%d bytes): %v, full Inspect gives %v", tc.name, i, len(items[i].Payload), tc.got[i], want[i])
+			}
+		}
+	}
+	// An all-hot layout costs 2 B per byte class per state, 512 B over
+	// this set's 256 classes: the lean one's cost shows it is mostly cold.
+	if a := lean.auto; a.MemoryBytes() >= 64*int64(a.NumStates()) {
+		t.Errorf("lean automaton: %d B for %d states, not a mostly cold layout", a.MemoryBytes(), a.NumStates())
+	}
+	if lean.MemoryBytes()*4 > full.MemoryBytes() {
+		t.Errorf("lean engine (%d B) more than a quarter of the full one (%d B)", lean.MemoryBytes(), full.MemoryBytes())
 	}
 }
 

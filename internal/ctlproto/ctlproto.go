@@ -134,6 +134,19 @@ type PatternDef struct {
 	// Regex, when set, carries a regular expression instead of exact
 	// bytes.
 	Regex string `json:"regex,omitempty"`
+	// Modifiers qualify Content; a regex takes none.
+	Modifiers
+}
+
+// Modifiers are Snort's content modifiers, as patterns.Pattern carries
+// them: NoCase matches ASCII letters in either case, and the content
+// must begin at or after byte Offset and, when Depth > 0, end within
+// Offset+Depth bytes of the payload (of the stream, for a stateful
+// middlebox).
+type Modifiers struct {
+	NoCase bool `json:"nocase,omitempty"`
+	Offset int  `json:"offset,omitempty"`
+	Depth  int  `json:"depth,omitempty"`
 }
 
 // AddPatterns adds patterns to the sender's set.

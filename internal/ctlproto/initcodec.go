@@ -20,17 +20,22 @@ import (
 //	             Set | Name (string) | flags (bit 0: Stateful, bit 1: ReadOnly)
 //	             | StopAfter | Mboxes (count, strings)
 //	             | patterns (count), each: RuleID | uvarint(len<<1 | regex) | bytes
+//	             | modifiers (count), each: index of its pattern (ascending)
+//	                 | flags (bit 0: NoCase) | Offset | Depth
 //	         chains (count), each: Tag (uint16 big-endian) | Members (count, strings)
+//
+// Only the content patterns with a modifier are listed, so a profile
+// without any pays one byte for the list.
 //
 // Integers are uvarints and strings a uvarint length and the bytes.
 // The encoding is canonical: DecodeInstanceInit accepts exactly what
 // AppendInstanceInit produces (shortest varints, no stray flag bits, no
-// empty regex, no trailing bytes), so a decoded body re-encodes to the
-// same bytes.
+// empty regex, no empty or out-of-order modifier entry, no trailing
+// bytes), so a decoded body re-encodes to the same bytes.
 
 const (
 	initMagic  = "DPII"
-	initFormat = 1
+	initFormat = 2 // 2 added the modifier lists
 
 	initCompact = 1 // head flags
 
@@ -38,15 +43,18 @@ const (
 	profReadOnly = 2
 
 	patRegex = 1 // low bit of a pattern's length word
+
+	modNoCase = 1 // modifier flags
 )
 
 // Smallest encodings, which bound every count against the bytes left
 // before anything is allocated for it.
 const (
-	minProfile = 6 // set, name, flags, stop, mboxes, patterns
-	minPattern = 2 // rule ID, length word
-	minChain   = 3 // tag, members
-	minString  = 1 // length
+	minProfile  = 7 // set, name, flags, stop, mboxes, patterns, modifiers
+	minPattern  = 2 // rule ID, length word
+	minModifier = 4 // index, flags, offset, depth
+	minChain    = 3 // tag, members
+	minString   = 1 // length
 )
 
 // AppendInstanceInit appends m's binary encoding to b.
@@ -103,6 +111,7 @@ func AppendInitSection(b []byte, profiles []ProfileDef, chains []ChainDef) []byt
 				b = append(b, d.Content...)
 			}
 		}
+		b = appendModifiers(b, p.Patterns)
 	}
 	b = binary.AppendUvarint(b, uint64(len(chains)))
 	for _, ch := range chains {
@@ -111,6 +120,32 @@ func AppendInitSection(b []byte, profiles []ProfileDef, chains []ChainDef) []byt
 		for _, m := range ch.Members {
 			b = appendString(b, m)
 		}
+	}
+	return b
+}
+
+// appendModifiers appends the modifier list of a profile's patterns.
+func appendModifiers(b []byte, pats []PatternDef) []byte {
+	n := 0
+	for i := range pats {
+		if pats[i].Modifiers != (Modifiers{}) {
+			n++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := range pats {
+		m := &pats[i].Modifiers
+		if *m == (Modifiers{}) {
+			continue
+		}
+		var flags byte
+		if m.NoCase {
+			flags |= modNoCase
+		}
+		b = binary.AppendUvarint(b, uint64(i))
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, uint64(m.Offset))
+		b = binary.AppendUvarint(b, uint64(m.Depth))
 	}
 	return b
 }
@@ -285,11 +320,9 @@ func (r *initReader) profile(p *ProfileDef) {
 	p.ReadOnly = flags&profReadOnly != 0
 	p.StopAfter = r.int()
 	p.Mboxes = r.strings()
-	n := r.count(minPattern)
-	if n == 0 {
-		return
+	if n := r.count(minPattern); n > 0 {
+		p.Patterns = make([]PatternDef, n)
 	}
-	p.Patterns = make([]PatternDef, n)
 	for i := range p.Patterns {
 		d := &p.Patterns[i]
 		d.RuleID = r.int()
@@ -307,5 +340,30 @@ func (r *initReader) profile(p *ProfileDef) {
 		default:
 			d.Regex = string(body)
 		}
+	}
+	r.modifiers(p.Patterns)
+}
+
+// modifiers reads a profile's modifier list onto its patterns: each
+// entry names a content pattern after the previous entry's and carries
+// at least one modifier.
+func (r *initReader) modifiers(pats []PatternDef) {
+	n := r.count(minModifier)
+	for next := 0; n > 0 && r.err == ""; n-- {
+		i := r.int()
+		if i < next || i >= len(pats) || pats[i].Regex != "" {
+			r.setErr("modifier index")
+			return
+		}
+		flags := r.byte()
+		if flags&^modNoCase != 0 {
+			r.setErr("modifier flags")
+		}
+		m := &pats[i].Modifiers
+		m.NoCase, m.Offset, m.Depth = flags&modNoCase != 0, r.int(), r.int()
+		if *m == (Modifiers{}) {
+			r.setErr("empty modifier")
+		}
+		next = i + 1
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // sampleInit exercises every field: binary content (NUL, high bytes,
-// quotes), a regex, both profile flags, a stop condition, a profile
-// without patterns and a chain listing two members.
+// quotes), each content modifier, a regex, both profile flags, a stop
+// condition, a profile without patterns and a chain listing two
+// members.
 func sampleInit() InstanceInit {
 	return InstanceInit{
 		InstanceID: "dpi-7", Compact: true, Version: 42,
@@ -21,7 +22,9 @@ func sampleInit() InstanceInit {
 			{Set: 0, Name: "ids", Mboxes: []string{"ids-1", "ids-2"}, Stateful: true, StopAfter: 4096,
 				Patterns: []PatternDef{
 					{RuleID: 1, Content: []byte("cmd.exe")},
+					{RuleID: 2, Content: []byte("GET"), Modifiers: Modifiers{NoCase: true, Depth: 3}},
 					{RuleID: 300, Content: []byte{0x00, 0xff, 0x1f, 0x8b, '"', '\\'}},
+					{RuleID: 301, Content: []byte("%PDF"), Modifiers: Modifiers{Offset: 1 << 16}},
 					{RuleID: 1 << 20, Regex: `evil\d+`},
 				}},
 			{Set: 1, Name: "l7fw", ReadOnly: true},
@@ -71,6 +74,17 @@ func TestDecodeInstanceInitAliasesContent(t *testing.T) {
 	}
 }
 
+// modified encodes a profile of a content pattern and a regex whose
+// one modifier entry is the given bytes.
+func modified(entry ...byte) []byte {
+	b := AppendInitHead(nil, &InstanceInit{})
+	b = append(b, 1, 0, 0, 0, 0, 0, 2) // one profile, two patterns:
+	b = append(b, 1, 2<<1, 'a', 'b')   // rule 1, content "ab"
+	b = append(b, 2, 2<<1|patRegex, 'c', 'd')
+	b = append(b, 1) // one modifier entry
+	return append(append(b, entry...), 0)
+}
+
 func TestDecodeInstanceInitRejects(t *testing.T) {
 	m := sampleInit()
 	good := AppendInstanceInit(nil, &m)
@@ -86,7 +100,7 @@ func TestDecodeInstanceInitRejects(t *testing.T) {
 	head := len(AppendInitHead(nil, &m))
 	for name, b := range map[string][]byte{
 		"magic":         mutate(func(b []byte) []byte { b[0] = 'X'; return b }),
-		"format":        mutate(func(b []byte) []byte { b[4] = 2; return b }),
+		"format":        mutate(func(b []byte) []byte { b[4] = initFormat + 1; return b }),
 		"head flags":    mutate(func(b []byte) []byte { b[5] |= 0x80; return b }),
 		"trailing":      append(append([]byte(nil), good...), 0),
 		"profile count": mutate(func(b []byte) []byte { b[head] = 0x7f; return b }),
@@ -97,11 +111,23 @@ func TestDecodeInstanceInitRejects(t *testing.T) {
 			1,                // one profile:
 			0, 0, 0, 0, 0, 1, // set 0, name "", flags, stop, no mboxes, one pattern:
 			5, patRegex, // rule 5, a regex of length 0
-			0), // no chains
+			0, 0), // no modifiers, no chains
+		"empty modifier":    modified(0, 0, 0, 0),
+		"modifier flags":    modified(0, 0x80|modNoCase, 0, 0),
+		"modifier index":    modified(2, modNoCase, 0, 0),
+		"modifier on regex": modified(1, modNoCase, 0, 0),
+		"modifier order": append(AppendInitHead(nil, &InstanceInit{}),
+			1, 0, 0, 0, 0, 0, 2, // one profile, two patterns:
+			1, 2<<1, 'a', 'b', 2, 2<<1, 'c', 'd', // rules 1 and 2, "ab" and "cd"
+			2, 1, modNoCase, 0, 0, 0, modNoCase, 0, 0, // modifiers of pattern 1, then 0
+			0),
 	} {
 		if _, err := DecodeInstanceInit(b); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("%s: err = %v, want ErrBadEnvelope", name, err)
 		}
+	}
+	if _, err := DecodeInstanceInit(modified(0, modNoCase, 0, 0)); err != nil {
+		t.Errorf("well-formed modifier entry: %v", err)
 	}
 }
 
@@ -165,6 +191,8 @@ func FuzzInstanceInit(f *testing.F) {
 	f.Add(AppendInstanceInit(nil, &m))
 	f.Add(AppendInstanceInit(nil, &InstanceInit{}))
 	f.Add(AppendInstanceInit(nil, &InstanceInit{Profiles: []ProfileDef{{Patterns: []PatternDef{{Regex: "a"}}}}}))
+	f.Add(AppendInstanceInit(nil, &InstanceInit{Profiles: []ProfileDef{{Patterns: []PatternDef{
+		{Content: []byte("a")}, {Content: []byte("b"), Modifiers: Modifiers{NoCase: true, Offset: 3, Depth: 200}}}}}}))
 	f.Add([]byte(initMagic))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats

@@ -194,7 +194,6 @@ func TestModule(t *testing.T) {
 		"mpm.ACFull.coldStep",
 		"mpm.step4",
 		"mpm.step8",
-		"mpm.ACCompact.Scan",
 	} {
 		if !hot[name] {
 			t.Errorf("expected //dpi:hotpath on %s", name)

@@ -16,8 +16,9 @@ import "slices"
 // does). Only the hot states, the first H in breadth-first order, have
 // a row; H is as many as denseBudget holds, so every automaton whose
 // full table fits has a row for every state. The states past H are
-// cold: each keeps its goto edges and a failure link, as ACCompact's
-// states do, and a walk in one reads them until its failure chain
+// cold: each keeps its goto edges and a failure link, as a failure-link
+// automaton's states do (BuildLean's few hundred rows leave nearly all
+// of them cold), and a walk in one reads them until its failure chain
 // reaches a hot state again.
 //
 // State ids: the hot accepting states are [0, A), the other hot states
@@ -52,6 +53,13 @@ type ACFull struct {
 // traffic (DESIGN.md, "Transition-table layout").
 const denseBudget = 4 << 20
 
+// leanBudget bounds the hot rows of BuildLean, the automaton of MCA²
+// dedicated instances (Section 4.3.1). On the 8 712- and 36 183-pattern
+// Snort-like + ClamAV-like merges it costs 1.02× and 0.93× the memory
+// of a failure-link automaton and scans 2–11× as fast; half of it is
+// far slower, four times it no faster (DESIGN.md, "Transition-table layout").
+const leanBudget = 128 << 10
+
 // maxEscapes bounds both the hot states, whose ids are the entries ≥ 0,
 // and the frontier, whose escapes are the entries < 0.
 const maxEscapes = 1 << 15
@@ -64,6 +72,17 @@ func (b *Builder) BuildFull() (*ACFull, error) {
 		return nil, err
 	}
 	return layoutFull(t, len(b.patterns), t.numStates(), true), nil
+}
+
+// BuildLean constructs the memory-lean automaton of MCA² dedicated
+// instances: BuildFull's layout with rows for only as many states as
+// leanBudget holds, so nearly every state is a 13-byte cold record.
+func (b *Builder) BuildLean() (*ACFull, error) {
+	t, err := b.buildTrie()
+	if err != nil {
+		return nil, err
+	}
+	return layoutFull(t, len(b.patterns), leanBudget/(2*t.stride), true), nil
 }
 
 // compileFull lays the trie out with rows for at most maxHot states,

@@ -13,9 +13,10 @@
 //     byte class (the bytes some pattern contains, plus one class for
 //     all the rest) and entries are uint16 while the state ids fit.
 //
-//   - ACCompact: the same automaton with sorted-edge nodes and explicit
-//     failure links instead of complete rows. It trades memory (an order
-//     of magnitude over a binary alphabet) for extra work per byte and is the
+//     BuildLean lays the same automaton out with rows for only its first
+//     few hundred states: every other state keeps its sorted goto edges
+//     and an explicit failure link. It trades a failure-chain chase on
+//     most bytes for an automaton the size of its trie, and is the
 //     representation MCA² dedicated instances use for heavy traffic
 //     (Section 4.3.1, following the space-time tradeoff of the authors'
 //     earlier work).

@@ -183,8 +183,8 @@ func TestSuffixInheritance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, build := range map[string]func() (Automaton, error){
-		"full":    func() (Automaton, error) { return b.BuildFull() },
-		"compact": func() (Automaton, error) { return b.BuildCompact() },
+		"full": func() (Automaton, error) { return b.BuildFull() },
+		"lean": func() (Automaton, error) { return b.BuildLean() },
 	} {
 		a, err := build()
 		if err != nil {
@@ -228,8 +228,8 @@ func TestBuilderErrors(t *testing.T) {
 	if _, err := NewBuilder().BuildFull(); err != ErrNoPatterns {
 		t.Errorf("no patterns full: err = %v", err)
 	}
-	if _, err := NewBuilder().BuildCompact(); err != ErrNoPatterns {
-		t.Errorf("no patterns compact: err = %v", err)
+	if _, err := NewBuilder().BuildLean(); err != ErrNoPatterns {
+		t.Errorf("no patterns lean: err = %v", err)
 	}
 	if _, err := NewBuilder().BuildWuManber(); err != ErrNoPatterns {
 		t.Errorf("no patterns wm: err = %v", err)
@@ -284,11 +284,11 @@ func buildBoth(t testing.TB, b *Builder) map[string]Automaton {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := b.BuildCompact()
+	lean, err := b.BuildLean()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Automaton{"full": full, "compact": compact}
+	return map[string]Automaton{"full": full, "lean": lean}
 }
 
 // randomPatterns generates n patterns of length [minLen,maxLen] over an
@@ -409,6 +409,10 @@ func TestDuplicatePatternSharedState(t *testing.T) {
 	}
 }
 
+// TestCompactMemorySmallerThanFull pins what BuildLean's automaton
+// costs: rows within leanBudget, and otherwise exactly the escape row,
+// 13 bytes per cold state and the match table, a quarter of the full
+// layout's size at most.
 func TestCompactMemorySmallerThanFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := NewBuilder()
@@ -421,16 +425,27 @@ func TestCompactMemorySmallerThanFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := b.BuildCompact()
+	lean, err := b.BuildLean()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.NumStates() != compact.NumStates() {
-		t.Errorf("state counts differ: full %d, compact %d", full.NumStates(), compact.NumStates())
+	if full.NumStates() != lean.NumStates() {
+		t.Errorf("state counts differ: full %d, lean %d", full.NumStates(), lean.NumStates())
 	}
-	if compact.MemoryBytes()*4 > full.MemoryBytes() {
-		t.Errorf("compact (%d B) not substantially smaller than full (%d B)",
-			compact.MemoryBytes(), full.MemoryBytes())
+	h, n, rowBytes := int64(lean.hot), int64(lean.numStates), int64(2*lean.stride)
+	if h*rowBytes > leanBudget || h >= n {
+		t.Fatalf("lean layout: %d hot states of %d, %d B of rows (budget %d B)", h, n, h*rowBytes, leanBudget)
+	}
+	// The class map, the hot rows, the escape row, each cold state's
+	// record and label (plus the record that closes the last one), and
+	// the match table.
+	want := 256 + (h+1)*rowBytes + (n-h)*(coldStateBytes+1) + coldStateBytes + lean.match.memoryBytes()
+	if got := lean.MemoryBytes(); got != want {
+		t.Errorf("lean MemoryBytes %d, want %d", got, want)
+	}
+	if lean.MemoryBytes()*4 > full.MemoryBytes() {
+		t.Errorf("lean (%d B) not substantially smaller than full (%d B)",
+			lean.MemoryBytes(), full.MemoryBytes())
 	}
 }
 
